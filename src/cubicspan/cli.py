@@ -71,7 +71,7 @@ def _surface_from_args(args) -> CubicForm:
     if args.random:
         return random_smooth_surface(field, args.seed)
     if args.family:
-        return CubicForm.from_family(family_tag(args.family), args.M).reduce_mod(field)
+        return CubicForm.from_family(args.family, args.M).reduce_mod(field)
     return fermat_cubic(field)
 
 

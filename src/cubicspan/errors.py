@@ -45,6 +45,10 @@ class LineNotOnSurface(CubicspanError):
     """A line claimed to lie on the surface does not."""
 
 
+class LineOnSurface(CubicspanError, ValueError):
+    """The line lies inside the surface, so it cuts out no intersection cycle."""
+
+
 class PointNotOnSurface(CubicspanError):
     """A point claimed to lie on the surface does not satisfy its equation."""
 
@@ -65,8 +69,9 @@ class BadPrime(CubicspanError):
     """The prime does not satisfy the congruence or divisibility conditions."""
 
 
-class FamilyMismatch(CubicspanError):
-    """Surface family and requested operation do not match."""
+class FamilyMismatch(CubicspanError, ValueError):
+    """Surface family and requested operation do not match, or the family
+    name is unknown."""
 
 
 class NotFullyRational(CubicspanError):

@@ -3,9 +3,8 @@
 An element c0 + c1*a + ... + c_{k-1}*a^{k-1} (a the class of x modulo the
 modulus polynomial) is represented by the integer code
 c0 + c1*p + ... + c_{k-1}*p^{k-1}.  Codes keep scanning, hashing and
-serialization cheap; FieldElement wraps a code when operator syntax is
-nicer.  Decoding a code gives the coefficient vector least degree first,
-which is also the serialized form.
+serialization cheap.  Decoding a code gives the coefficient vector least
+degree first, which is also the serialized form.
 
 The modulus is chosen deterministically: the monic irreducible
 x^k + sum c_i x^i whose non-leading coefficient vector, read as base-p
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .errors import DegreeTooLarge, IdenticallyZero, NotPrime, BudgetExceeded
+from .errors import BudgetExceeded, DegreeTooLarge, HypothesisFailed, IdenticallyZero, NotPrime
 
 MAX_CHARACTERISTIC = 2**61
 MAX_DEGREE = 24
@@ -55,6 +54,38 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of a positive integer, primes ascending.
+
+    Trial division by 2, 3 and then 6k +- 1.  Dividing out each prime as it
+    is found keeps the trial bound at the square root of the unfactored
+    part, which matters because the reduction code factors integers up to
+    about 10^11.
+    """
+    factors: list[tuple[int, int]] = []
+    for p in (2, 3):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+    f = 5
+    step = 2
+    while f * f <= n:
+        if n % f == 0:
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            factors.append((f, e))
+        f += step
+        step = 6 - step
+    if n > 1:
+        factors.append((n, 1))
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +156,7 @@ def _is_irreducible(p: int, f: Sequence[int]) -> bool:
     if _ptrim(lhs):
         return False
     # no factor of degree k/l for prime l | k
-    for l in _prime_divisors(k):
+    for l, _ in factorize(k):
         t = list(x)
         for _ in range(k // l):
             t = _ppowmod(t, p, f, p)
@@ -137,20 +168,6 @@ def _is_irreducible(p: int, f: Sequence[int]) -> bool:
         if len(g) - 1 > 0:
             return False
     return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +213,6 @@ class ExtField:
         for c in reversed(list(coeffs)):
             code = code * self.p + c % self.p
         return code
-
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.field is not self:
-                raise ValueError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            return FieldElement(self, value % self.q if self.k == 1 else value)
-        return FieldElement(self, self.encode(value))
 
     def elements(self) -> range:
         return range(self.q)
@@ -300,9 +308,6 @@ class ExtField:
             e >>= 1
         return result
 
-    def frobenius(self, a: int) -> int:
-        return self.pow_(a, self.p)
-
     @property
     def zero(self) -> int:
         return 0
@@ -326,7 +331,7 @@ class ExtField:
                 e >>= 1
             return r
 
-        order_factors = _prime_divisors(q - 1)
+        order_factors = [l for l, _ in factorize(q - 1)]
         g = None
         for cand in range(2, q):
             if all(powf(cand, (q - 1) // l) != 1 for l in order_factors):
@@ -342,15 +347,7 @@ class ExtField:
             log[v] = i
         self._exp, self._log = exp, log
 
-    # -- roots and traces --------------------------------------------------
-
-    def trace_to_base(self, a: int) -> int:
-        """Absolute trace down to F_p, returned as a code < p."""
-        t, x = 0, a
-        for _ in range(self.k):
-            t = self.add(t, x)
-            x = self.frobenius(x)
-        return t
+    # -- roots -------------------------------------------------------------
 
     def sqrt(self, a: int) -> int | None:
         """A square root of a, or None when a is a nonresidue (odd q)."""
@@ -391,7 +388,8 @@ class ExtField:
 
     def artin_schreier_solve(self, d: int) -> int | None:
         """u with u^2 + u = d over GF(2^k), or None when the trace is 1."""
-        assert self.p == 2
+        if self.p != 2:
+            raise HypothesisFailed(f"u^2 + u = d is solved over GF(2^k), not GF({self.q})")
         if self._as_matrix is None:
             k = self.k
             rows = [0] * k  # rows of the map u -> u^2 + u in the power basis
@@ -428,76 +426,6 @@ class ExtField:
             if rhs[piv]:
                 u |= 1 << col
         return u
-
-
-class FieldElement:
-    """Thin operator wrapper around a field and an element code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: ExtField, code: int):
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.decode(self.code)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("mixed fields")
-            return other.code
-        if isinstance(other, int):
-            return other % self.field.p if self.field.k == 1 else self.field.element(other).code
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.div(self.code, c))
-
-    def __rtruediv__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.div(c, self.code))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow_(self.code, e))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == self._coerce(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.code))
-
-    def __repr__(self):
-        return f"FieldElement(GF({self.field.q}), {self.code})"
 
 
 @lru_cache(maxsize=None)
@@ -554,7 +482,8 @@ def embedding(base: ExtField, ext: ExtField) -> Callable[[int], int]:
         if acc == 0:
             root = cand
             break
-    assert root is not None
+    if root is None:
+        raise RuntimeError("unreachable: the base modulus splits in the extension")
     powers = [1]
     for _ in range(base.k - 1):
         powers.append(ext.mul(powers[-1], root))
@@ -687,28 +616,6 @@ def _deflate(field: ExtField, poly: Sequence[int], r: int) -> list[int]:
     return out
 
 
-def univariate_roots(field: ExtField, poly: Sequence[int]) -> list[tuple[int, int]]:
-    """(root, multiplicity) pairs of a univariate polynomial by field scan."""
-    work = [_code(field, c) for c in poly]
-    while work and work[-1] == 0:
-        work.pop()
-    if not work:
-        raise IdenticallyZero("zero polynomial")
-    if field.q > _ROOT_SCAN_LIMIT:
-        raise BudgetExceeded(f"root scan over GF({field.q})")
-    out = []
-    for t in field.elements():
-        if len(work) <= 1:
-            break
-        mult = 0
-        while len(work) > 1 and _eval_poly(field, work, t) == 0:
-            work = _deflate(field, work, t)
-            mult += 1
-        if mult:
-            out.append((t, mult))
-    return out
-
-
 def univariate_gcd(field: ExtField, a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Monic gcd of two univariate polynomials with field-code coefficients."""
     a = [_code(field, c) for c in a]
@@ -745,8 +652,4 @@ def cube_roots_of_unity(field: ExtField) -> list[int]:
 
 
 def _code(field: ExtField, x) -> int:
-    if isinstance(x, FieldElement):
-        if x.field is not field:
-            raise ValueError("element from the wrong field")
-        return x.code
     return x % field.p if field.k == 1 else int(x)

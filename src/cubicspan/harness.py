@@ -39,10 +39,11 @@ from .errors import (
     EqualPoints,
     HypothesisFailed,
     IdenticallyZero,
+    LineOnSurface,
     NotFullyRational,
     NoTernaryPoint,
 )
-from .field import ExtField, is_prime, make_extension
+from .field import ExtField, factorize, is_prime, make_extension
 from .hsgroup import hs_structure, ternary_bound_check
 from .planecubic import is_cube, pic_mod, two_division_check
 from .projgeo import planes_through_line, skew
@@ -117,19 +118,9 @@ class ExperimentConfig:
         object.__setattr__(self, "checks", tuple(self.checks))
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "p": self.p,
-            "k": self.k,
-            "surface": self.surface,
-            "family": self.family,
-            "m": self.m,
-            "height": self.height,
-            "pair_cap": self.pair_cap,
-            "pic_limit": self.pic_limit,
-            "attempts": self.attempts,
-            "checks": list(self.checks),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["checks"] = list(self.checks)
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -531,19 +522,8 @@ def _pic_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
 
 
 def _reduction_primes(family: str, m: int) -> list[int]:
-    out = []
-    rest = m
-    for p in range(2, m + 1):
-        if p * p > rest:
-            break
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            if p != 3:
-                out.append(p)
-    if rest > 1 and rest != 3:
-        out.append(rest)
-    return out
+    """The prime divisors of M other than 3, ascending."""
+    return [p for p, _ in factorize(m) if p != 3]
 
 
 def _reduction_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
@@ -574,7 +554,7 @@ def _reduction_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
                 for p in primes:
                     try:
                         report = verify_line_relation(param, family, m, p, n)
-                    except (NotFullyRational, ValueError):
+                    except (NotFullyRational, LineOnSurface):
                         skipped += 1
                         continue
                     checked += 1

@@ -458,7 +458,8 @@ class ZPresentation:
             if self.snf is not None:
                 d = self.snf[2]
                 diag = [d[j][j] for j in range(min(len(d), r)) if d[j][j]]
-            assert len(diag) == rank
+            if len(diag) != rank:
+                raise AssertionError("Smith form rank differs from the lattice basis rank")
             factors = tuple(x for x in diag if x > 1)
             h0_free = r - rank - 1
             self._structure = GroupStructure(
@@ -503,34 +504,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def relation_rows(
-    form: CubicForm,
-    table: Optional[SpanTable] = None,
-    lines: Optional[list[Line3]] = None,
-    presentation: Optional[ZPresentation] = None,
-) -> list[dict[int, int]]:
-    """Rows spanning G'' as sparse vectors over point indices.
-
-    One row per distinct generating sum beyond the first; the row for sum
-    g is g - g0 with g0 the lexicographically least sum.
-    """
-    if presentation is None:
-        presentation = ZPresentation(form, table=table, lines=lines)
-    sums = presentation.sums
-    if not sums:
-        return []
-    base = sums[0]
-    out = []
-    for g in sums[1:]:
-        row: dict[int, int] = {}
-        for x in g:
-            row[x] = row.get(x, 0) + 1
-        for x in base:
-            row[x] = row.get(x, 0) - 1
-        out.append({k: c for k, c in row.items() if c})
-    return out
 
 
 def hs_structure(

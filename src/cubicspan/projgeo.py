@@ -13,8 +13,7 @@ by their flattened canonical matrix.
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import EqualPoints
 from .field import ExtField
@@ -240,90 +239,32 @@ def plane_point_basis(plane: Plane3) -> tuple[tuple[int, ...], tuple[int, ...], 
     return basis[0], basis[1], basis[2]
 
 
-def lines_in_plane_through(plane: Plane3, point: ProjPoint) -> list[Line3]:
-    """The q+1 lines of a plane through one of its points.
+def pencil_second_points(plane: Plane3, coords: Sequence[int]) -> list[tuple[int, ...]]:
+    """A second point on each of the q+1 lines of a plane through a point.
 
-    The pencil is indexed by P^1 over a basis pair chosen deterministically
-    from the plane's spanning points.
+    The point's coordinates must lie in the plane.  Dropping the plane's
+    spanning point that carries the point's first nonzero coordinate leaves
+    a basis pair (e0, e1); the pencil is indexed by P^1 over it, as
+    e0 + t*e1 for each field code t, then e1.  The points are not
+    normalized.
     """
     f = plane.field
-    if not plane.contains(point):
-        raise ValueError("point does not lie in the plane")
     basis = plane_point_basis(plane)
-    n = plane.covector
-    j0 = next(i for i, c in enumerate(n) if c)
-    pc = [point.coords[m] for m in range(4) if m != j0]
+    j0 = next(i for i, c in enumerate(plane.covector) if c)
+    pc = [coords[m] for m in range(4) if m != j0]
     m0 = next(i for i, c in enumerate(pc) if c)
-    others = [basis[i] for i in range(3) if i != m0]
-    out = []
-    for t in f.elements():
-        second = [f.add(a, f.mul(t, b)) for a, b in zip(others[0], others[1])]
-        out.append(line_through(point, ProjPoint(f, second)))
-    out.append(line_through(point, ProjPoint(f, others[1])))
+    e0, e1 = [basis[i] for i in range(3) if i != m0]
+    out = [tuple(f.add(a, f.mul(t, b)) for a, b in zip(e0, e1)) for t in f.elements()]
+    out.append(e1)
     return out
 
 
-def enumerate_point_tuples(field: ExtField) -> Iterator[tuple[int, ...]]:
-    """All points of P^3 as normalized coordinate tuples, chart by chart."""
-    q = field.q
-    for y in range(q):
-        for z in range(q):
-            for w in range(q):
-                yield (1, y, z, w)
-    for z in range(q):
-        for w in range(q):
-            yield (0, 1, z, w)
-    for w in range(q):
-        yield (0, 0, 1, w)
-    yield (0, 0, 0, 1)
-
-
-def count_lines(q: int) -> int:
-    return (q * q + 1) * (q * q + q + 1)
-
-
-def _pattern_streams(field: ExtField):
-    q = field.q
-    elems = range(q)
-
-    def pat01():
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    for d in elems:
-                        yield ((1, 0, a, b), (0, 1, c, d))
-
-    def pat02():
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    yield ((1, a, 0, b), (0, 0, 1, c))
-
-    def pat03():
-        for a in elems:
-            for b in elems:
-                yield ((1, a, b, 0), (0, 0, 0, 1))
-
-    def pat12():
-        for a in elems:
-            for b in elems:
-                yield ((0, 1, 0, a), (0, 0, 1, b))
-
-    def pat13():
-        for a in elems:
-            yield ((0, 1, a, 0), (0, 0, 0, 1))
-
-    def pat23():
-        yield ((0, 0, 1, 0), (0, 0, 0, 1))
-
-    return [pat01(), pat02(), pat03(), pat12(), pat13(), pat23()]
-
-
-def enumerate_canonical_rows(field: ExtField) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Canonical 2x4 RREF row pairs for every line, in flattened lex order."""
-    return heapq.merge(*_pattern_streams(field), key=lambda rows: rows[0] + rows[1])
-
-
-def enumerate_lines(field: ExtField) -> Iterator[Line3]:
-    for rows in enumerate_canonical_rows(field):
-        yield Line3(field, rows, _canonical=True)
+def lines_in_plane_through(plane: Plane3, point: ProjPoint) -> list[Line3]:
+    """The q+1 lines of a plane through one of its points, in the order of
+    pencil_second_points."""
+    if not plane.contains(point):
+        raise ValueError("point does not lie in the plane")
+    return [
+        line_through(point, ProjPoint(plane.field, second))
+        for second in pencil_second_points(plane, point.coords)
+    ]

@@ -36,12 +36,13 @@ from .errors import (
     ConstantsUnavailable,
     EqualPoints,
     FamilyMismatch,
+    LineOnSurface,
     NotFullyRational,
     NotPrime,
     PrimeConditionFailed,
 )
-from .field import is_prime
-from .hsgroup import snf_with_transforms
+from .field import factorize, is_prime
+from .hsgroup import _xgcd, snf_with_transforms
 from .planecubic import (
     CurvePoint,
     PicClass,
@@ -52,38 +53,26 @@ from .planecubic import (
     pic_mod,
     prime_condition,
 )
+from .surface import FAMILIES, CubicForm, family_tag
 
 FAMILY_S = "S_M"
 FAMILY_SPRIME = "Sprime_M"
 
 #: quotient modulus used by each family
-FAMILY_MODULUS = {FAMILY_S: 2, FAMILY_SPRIME: 3}
-
-_FAMILY_ALIASES = {
-    "S": FAMILY_S,
-    "S_M": FAMILY_S,
-    "Sprime": FAMILY_SPRIME,
-    "Sprime_M": FAMILY_SPRIME,
-    "S'_M": FAMILY_SPRIME,
-}
+FAMILY_MODULUS = {tag: fam.modulus for tag, fam in FAMILIES.items()}
 
 #: cap on the (2H+1)^2 outer search volume of point_search
 MAX_SEARCH_HEIGHT = 1000
 
 
-def family_tag(name: str) -> str:
-    try:
-        return _FAMILY_ALIASES[name]
-    except KeyError:
-        raise FamilyMismatch(f"unknown family {name!r}") from None
+@lru_cache(maxsize=None)
+def _family_form(tag: str, m: int) -> CubicForm:
+    return CubicForm.from_family(tag, m)
 
 
 def form_value(family: str, m: int, coords: Sequence[int]) -> int:
     """Exact integer value of the family's defining form."""
-    x, y, z, w = coords
-    if family_tag(family) == FAMILY_S:
-        return x ** 3 + y ** 3 + z ** 3 + m * z * w * w
-    return x ** 3 + y ** 3 + z ** 3 + m * w ** 3
+    return _family_form(family_tag(family), m).evaluate(coords)
 
 
 @dataclass(frozen=True)
@@ -95,8 +84,7 @@ class SurfacePoint:
     coords: tuple[int, int, int, int]
 
 
-def surface_point(family: str, m: int, coords: Iterable[int]) -> SurfacePoint:
-    family = family_tag(family)
+def _primitive4(coords: Iterable[int]) -> tuple[int, ...]:
     c = [int(x) for x in coords]
     if len(c) != 4 or not any(c):
         raise ValueError("expected four integers, not all zero")
@@ -104,9 +92,15 @@ def surface_point(family: str, m: int, coords: Iterable[int]) -> SurfacePoint:
     c = [x // g for x in c]
     if next(x for x in c if x) < 0:
         c = [-x for x in c]
+    return tuple(c)
+
+
+def surface_point(family: str, m: int, coords: Iterable[int]) -> SurfacePoint:
+    family = family_tag(family)
+    c = _primitive4(coords)
     if form_value(family, m, c) != 0:
-        raise ValueError(f"{tuple(c)} is not on the surface")
-    return SurfacePoint(family, m, (c[0], c[1], c[2], c[3]))
+        raise ValueError(f"{c} is not on the surface")
+    return SurfacePoint(family, m, c)
 
 
 def base_surface_point(family: str, m: int) -> SurfacePoint:
@@ -180,20 +174,6 @@ def reduction_class(point: SurfacePoint, p: int, n: Optional[int] = None) -> Pic
     return quotient.class_of(red.point if red.point is not None else base_point(p))
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 @dataclass(frozen=True)
 class GoodLineParam:
     """A basis (u, v) of the saturated integer lattice of a rational line.
@@ -206,17 +186,6 @@ class GoodLineParam:
 
     u: tuple[int, int, int, int]
     v: tuple[int, int, int, int]
-
-
-def _primitive4(coords: Iterable[int]) -> tuple[int, ...]:
-    c = [int(x) for x in coords]
-    if len(c) != 4 or not any(c):
-        raise ValueError("expected four integers, not all zero")
-    g = gcd(gcd(c[0], c[1]), gcd(c[2], c[3]))
-    c = [x // g for x in c]
-    if next(x for x in c if x) < 0:
-        c = [-x for x in c]
-    return tuple(c)
 
 
 def _minors2(u: Sequence[int], v: Sequence[int]) -> list[int]:
@@ -279,64 +248,10 @@ def line_coordinates(param: GoodLineParam, coords: Iterable[int]) -> tuple[Fract
     return lam, mu
 
 
-def _restriction_coeffs(
-    family: str, m: int, u: Sequence[int], v: Sequence[int]
-) -> tuple[int, int, int, int]:
-    """Coefficients of F(s*u + t*v) as a binary cubic in (s, t)."""
-    c = [0, 0, 0, 0]
-    for i in range(3):
-        a, b = u[i], v[i]
-        c[0] += a ** 3
-        c[1] += 3 * a * a * b
-        c[2] += 3 * a * b * b
-        c[3] += b ** 3
-    if family_tag(family) == FAMILY_S:
-        a, b = u[2], v[2]
-        e, f = u[3], v[3]
-        c[0] += m * a * e * e
-        c[1] += m * (b * e * e + 2 * a * e * f)
-        c[2] += m * (2 * b * e * f + a * f * f)
-        c[3] += m * b * f * f
-    else:
-        e, f = u[3], v[3]
-        c[0] += m * e ** 3
-        c[1] += 3 * m * e * e * f
-        c[2] += 3 * m * e * f * f
-        c[3] += m * f ** 3
-    return c[0], c[1], c[2], c[3]
-
-
 def _divisors(x: int) -> list[int]:
-    """Positive divisors of x, ascending, via trial-division factoring.
-
-    Dividing out each prime as it is found keeps the trial bound at the
-    square root of the unfactored part, which matters here because the
-    restriction coefficients reach 10^11 on tall lines.
-    """
-    n = abs(x)
-    factors: list[tuple[int, int]] = []
-    for p in (2, 3):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-    f = 5
-    step = 2
-    while f * f <= n:
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            factors.append((f, e))
-        f += step
-        step = 6 - step
-    if n > 1:
-        factors.append((n, 1))
+    """Positive divisors of the nonzero integer x, ascending."""
     divs = [1]
-    for p, e in factors:
+    for p, e in factorize(abs(x)):
         block = divs
         divs = []
         power = 1
@@ -488,10 +403,11 @@ def _binary_cubic_roots(coeffs: Sequence[int]) -> list[tuple[int, int]]:
 
 def line_cycle(param: GoodLineParam, family: str, m: int) -> tuple[SurfacePoint, ...]:
     """The three rational surface points cut out by the line, repetition
-    marking multiplicity."""
-    coeffs = _restriction_coeffs(family, m, param.u, param.v)
+    marking multiplicity.  LineOnSurface is raised for a line inside the
+    surface."""
+    coeffs = _family_form(family_tag(family), m).restrict_to_line(param.u, param.v)
     if not any(coeffs):
-        raise ValueError("the line lies on the surface; its cycle is undefined")
+        raise LineOnSurface("the line lies on the surface; its cycle is undefined")
     pts = []
     for s0, t0 in _binary_cubic_roots(coeffs):
         coords = [s0 * x + t0 * y for x, y in zip(param.u, param.v)]
@@ -619,7 +535,8 @@ def verify_line_relation(
     for pt in cycle:
         cls = reduction_class(pt, p, n)
         total = cls if total is None else total + cls
-    coeffs = _restriction_coeffs(family, m, param.u, param.v)
+    form = _family_form(family, m)
+    coeffs = form.restrict_to_line(param.u, param.v)
     contained = all(c % p == 0 for c in coeffs)
     newton = None
     alpha2 = None
@@ -633,7 +550,7 @@ def verify_line_relation(
             tries += 1
             if tries > 3:
                 raise AssertionError("could not move v off the surface")
-        a = _restriction_coeffs(family, m, uu, vv)
+        a = form.restrict_to_line(uu, vv)
         z_unit = uu[2] % p != 0
         if any(a):
             newton = newton_polygon(a, p)

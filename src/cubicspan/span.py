@@ -28,7 +28,7 @@ from .errors import (
     HypothesisFailed,
     PointNotOnSurface,
 )
-from .projgeo import Line3, Plane3, ProjPoint, normalize, plane_point_basis, skew
+from .projgeo import Line3, Plane3, ProjPoint, normalize, pencil_second_points, skew
 from .surface import (
     CubicForm,
     PointKind,
@@ -100,19 +100,8 @@ class SpanTable:
         tangents = []
         for i in range(n):
             u = points[i].coords
-            plane = Plane3(f, grads[i])
-            basis = plane_point_basis(plane)
-            j0 = next(m for m, c in enumerate(plane.covector) if c)
-            pc = [u[m] for m in range(4) if m != j0]
-            m0 = next(m for m, c in enumerate(pc) if c)
-            others = [basis[m] for m in range(3) if m != m0]
-            seconds = [
-                tuple(f.add(a, f.mul(t, b)) for a, b in zip(others[0], others[1]))
-                for t in f.elements()
-            ]
-            seconds.append(others[1])
             thirds = []
-            for w in seconds:
+            for w in pencil_second_points(Plane3(f, grads[i]), u):
                 c2 = dot(form.gradient(w), u)
                 c3 = form.evaluate(w)
                 if c2 == 0 and c3 == 0:

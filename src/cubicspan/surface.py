@@ -22,6 +22,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
     BudgetExceeded,
+    FamilyMismatch,
     IdenticallyZero,
     LineNotOnSurface,
     PointNotOnSurface,
@@ -63,6 +64,35 @@ _UNIT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 LINE_SCAN_BUDGET = 1 << 22
 
 
+@dataclass(frozen=True)
+class Family:
+    """An integer family x^3 + y^3 + z^3 + M * monomial = 0.
+
+    modulus is the n of the Pic0/n quotient its reduction classes live in.
+    """
+
+    aliases: tuple[str, ...]
+    monomial: tuple[int, int, int, int]
+    modulus: int
+
+
+#: the two rational families, keyed by canonical tag
+FAMILIES = {
+    "S_M": Family(("S", "S_M"), (0, 0, 1, 2), 2),
+    "Sprime_M": Family(("Sprime", "Sprime_M", "S'_M"), (0, 0, 0, 3), 3),
+}
+
+_TAG_BY_ALIAS = {alias: tag for tag, fam in FAMILIES.items() for alias in fam.aliases}
+
+
+def family_tag(name: str) -> str:
+    """The canonical tag of a family name or alias."""
+    try:
+        return _TAG_BY_ALIAS[name]
+    except KeyError:
+        raise FamilyMismatch(f"unknown family {name!r}") from None
+
+
 def _ops(field: Optional[ExtField]):
     if field is None:
         return operator.add, operator.mul
@@ -78,6 +108,70 @@ def _mono_indices(mono: Sequence[int]) -> tuple[int, ...]:
 
 def _dict_terms(poly: dict) -> list[tuple[object, tuple[int, ...]]]:
     return [(c, _mono_indices(mono)) for mono, c in poly.items()]
+
+
+def _evaluate_terms(field, terms, coords):
+    """The value of sum c * x_i x_j ... at a point."""
+    if field is None:
+        total = 0
+        for c, idxs in terms:
+            t = c
+            for i in idxs:
+                t *= coords[i]
+                if t == 0:
+                    break
+            total += t
+        return total
+    add, mul = field.add, field.mul
+    total = 0
+    for c, idxs in terms:
+        t = c
+        for i in idxs:
+            x = coords[i]
+            if x == 0:
+                t = 0
+                break
+            if x != 1:
+                t = mul(t, x)
+        if t:
+            total = add(total, t)
+    return total
+
+
+def _restrict_terms_to_line(field, terms, u, v) -> list:
+    """Coefficients of sum c * x_i x_j (x_k) at x = s*u + t*v, s-degree first.
+
+    Each term is a product of linear forms u_i s + v_i t, multiplied out in
+    closed form: the first two make a quadratic and a third factor, when the
+    term has one, raises it to a cubic.  Integer and field coefficients take
+    the same path.  The result always has four entries; a quadratic leaves
+    the last at zero.
+    """
+    add, mul = _ops(field)
+    c0 = c1 = c2 = c3 = 0
+    for c, idxs in terms:
+        i, j = idxs[0], idxs[1]
+        a1, b1, a2, b2 = u[i], v[i], u[j], v[j]
+        p0 = mul(a1, a2)
+        p1 = add(mul(a1, b2), mul(b1, a2))
+        p2 = mul(b1, b2)
+        if len(idxs) == 3:
+            a3, b3 = u[idxs[2]], v[idxs[2]]
+            p0, p1, p2, p3 = (
+                mul(p0, a3),
+                add(mul(p0, b3), mul(p1, a3)),
+                add(mul(p1, b3), mul(p2, a3)),
+                mul(p2, b3),
+            )
+            if p3:
+                c3 = add(c3, mul(c, p3))
+        if p0:
+            c0 = add(c0, mul(c, p0))
+        if p1:
+            c1 = add(c1, mul(c, p1))
+        if p2:
+            c2 = add(c2, mul(c, p2))
+    return [c0, c1, c2, c3]
 
 
 def _substitute_linear(field, terms, vectors):
@@ -142,14 +236,10 @@ class CubicForm:
 
     @classmethod
     def from_family(cls, family: str, m: int) -> "CubicForm":
-        """The integer surface x^3+y^3+z^3+M*z*w^2 ("S_M") or +M*w^3 ("S'_M")."""
+        """The integer surface x^3+y^3+z^3+M*z*w^2 ("S_M") or +M*w^3
+        ("Sprime_M"), named by any alias in FAMILIES."""
         base = {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1}
-        if family == "S_M":
-            base[(0, 0, 1, 2)] = int(m)
-        elif family == "S'_M":
-            base[(0, 0, 0, 3)] = int(m)
-        else:
-            raise ValueError(f"unknown family {family!r}")
+        base[FAMILIES[family_tag(family)].monomial] = int(m)
         return cls(None, base)
 
     @classmethod
@@ -186,31 +276,7 @@ class CubicForm:
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, coords: Sequence[int]):
-        f = self.field
-        if f is None:
-            total = 0
-            for c, idxs in self._terms:
-                t = c
-                for i in idxs:
-                    t *= coords[i]
-                    if t == 0:
-                        break
-                total += t
-            return total
-        add, mul = f.add, f.mul
-        total = 0
-        for c, idxs in self._terms:
-            t = c
-            for i in idxs:
-                x = coords[i]
-                if x == 0:
-                    t = 0
-                    break
-                if x != 1:
-                    t = mul(t, x)
-            if t:
-                total = add(total, t)
-        return total
+        return _evaluate_terms(self.field, self._terms, coords)
 
     def _partials(self):
         if self._partial_terms is None:
@@ -236,46 +302,17 @@ class CubicForm:
 
     def gradient(self, coords: Sequence[int]) -> tuple:
         """The four formal partial derivatives evaluated at a point."""
-        f = self.field
-        out = []
-        for terms in self._partials():
-            if f is None:
-                total = 0
-                for c, idxs in terms:
-                    t = c
-                    for i in idxs:
-                        t *= coords[i]
-                        if t == 0:
-                            break
-                    total += t
-            else:
-                add, mul = f.add, f.mul
-                total = 0
-                for c, idxs in terms:
-                    t = c
-                    for i in idxs:
-                        x = coords[i]
-                        if x == 0:
-                            t = 0
-                            break
-                        if x != 1:
-                            t = mul(t, x)
-                    if t:
-                        total = add(total, t)
-            out.append(total)
-        return tuple(out)
+        return tuple(_evaluate_terms(self.field, terms, coords) for terms in self._partials())
 
     # -- restriction -----------------------------------------------------
 
     def restrict_to_line(self, u: Sequence[int], v: Sequence[int]) -> tuple:
         """Coefficients (c0..c3) of F(s*u + t*v), with c_i on s^(3-i) t^i."""
-        sub = _substitute_linear(self.field, self._terms, (tuple(u), tuple(v)))
-        return tuple(sub.get((3 - i, i), 0) for i in range(4))
+        return tuple(_restrict_terms_to_line(self.field, self._terms, u, v))
 
     def partial_on_line(self, i: int, u: Sequence[int], v: Sequence[int]) -> tuple:
         """The i-th partial restricted to s*u + t*v, as (A, B, C) on s^2, st, t^2."""
-        sub = _substitute_linear(self.field, self._partials()[i], (tuple(u), tuple(v)))
-        return tuple(sub.get((2 - j, j), 0) for j in range(3))
+        return tuple(_restrict_terms_to_line(self.field, self._partials()[i], u, v)[:3])
 
     def restrict_to_plane(self, basis: Sequence[Sequence[int]]) -> dict:
         """Ternary cubic of the surface pulled back along three spanning vectors."""
@@ -688,8 +725,7 @@ def _binary_quadratic_roots(field: ExtField, a: int, b: int, c: int):
 
 def _curve_contains_line(field, cubic_terms, pa, pb) -> bool:
     """Whether the P^2 line through two plane points lies inside a ternary cubic."""
-    sub = _substitute_linear(field, cubic_terms, (tuple(pa), tuple(pb)))
-    return not any(sub.values())
+    return not any(_restrict_terms_to_line(field, cubic_terms, pa, pb))
 
 
 def gamma_curve(form: CubicForm, point: ProjPoint) -> GammaCurve:

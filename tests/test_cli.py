@@ -1,10 +1,27 @@
 """End-to-end runs of the command line interface."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from cubicspan.cli import main
+from cubicspan.cli import build_parser, main
+from cubicspan.reduction import family_tag
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+FAMILY_ALIASES = ["S", "S_M", "Sprime", "Sprime_M", "S'_M"]
+
+#: the extra arguments each surface subcommand needs on a family surface
+#: reduced mod 7; (1 : -1 : 0 : 0) lies on both families
+SURFACE_COMMANDS = {
+    "lines": [],
+    "classify": ["--point", "1,6,0,0"],
+    "span": ["--seed-point", "1,6,0,0"],
+    "hs": [],
+}
 
 
 def run_json(capsys, argv):
@@ -181,6 +198,31 @@ def test_rank_bound_wcubed_family(capsys):
     assert doc["M"] == 93
     assert doc["mod"] == 3
     assert doc["achieved_dim"] == 2
+
+
+@pytest.mark.parametrize("alias", FAMILY_ALIASES)
+@pytest.mark.parametrize("command", sorted(SURFACE_COMMANDS))
+def test_surface_commands_accept_every_family_alias(capsys, command, alias):
+    def run(family):
+        argv = [command, "--p", "7", "--M", "31", "--family", family]
+        return run_json(capsys, argv + SURFACE_COMMANDS[command])
+
+    code, doc = run(alias)
+    assert code == 0
+    assert run(family_tag(alias)) == (0, doc)
+
+
+def test_readme_command_table_parses():
+    text = README.read_text()
+    section = text[text.index("## Command line"):]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    rows = [line for line in block.splitlines() if line.startswith("cubicspan ")]
+    assert len(rows) == 9
+    parser = build_parser()
+    for row in rows:
+        command, description = re.split(r"\s{2,}", row, maxsplit=1)
+        assert description
+        parser.parse_args(shlex.split(command)[1:])
 
 
 def test_unknown_family_is_usage_error(capsys):

@@ -1,5 +1,6 @@
 """Config plumbing, seeded sampling, and the verification suites."""
 
+import hashlib
 import json
 
 import pytest
@@ -165,6 +166,29 @@ def test_reduction_suite_passes_and_sees_both_branches():
     assert branches["contained"] > 0
     assert by_name["reduction/rank_bound"].detail["achieved_dim"] == 2
     assert by_name["reduction/curve_coverage"].detail["coverage"]["31"]["hit"] > 0
+
+
+def test_machinery_value_error_in_line_relations_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("machinery fault")
+
+    monkeypatch.setattr("cubicspan.harness.verify_line_relation", broken)
+    config = ExperimentConfig(height=6, pair_cap=10, checks=("reduction/line_relations",))
+    with pytest.raises(ValueError, match="machinery fault"):
+        run_suite("reduction", config)
+
+
+def test_default_reduction_suite_report_is_pinned():
+    report = run_suite("reduction")
+    by_name = {r.name: r for r in report.results}
+    assert by_name["reduction/line_relations"].detail == {
+        "branches": {"contained": 8, "transverse": 211},
+        "checked": 219,
+        "points_used": 40,
+        "skipped": 561,
+    }
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert digest == "dc3d9dabe391cc11455ca2b99a504dbfff4677919c18c858f1d3938f9282db7a"
 
 
 def test_reduction_suite_wcubed_family():

@@ -12,7 +12,6 @@ from cubicspan.hsgroup import (
     class_diff,
     class_of,
     hs_structure,
-    relation_rows,
     smith_normal_form,
     ternary_bound_check,
 )
@@ -116,16 +115,6 @@ def test_presentation_fermat_f5(fermat5_presentation):
     assert s.relations == 396
     assert s.h0_trivial
     fermat5_presentation.verify()
-
-
-def test_relation_rows_match_presentation(fermat5_presentation):
-    pres = fermat5_presentation
-    rows = relation_rows(pres.form, presentation=pres)
-    assert len(rows) == pres.structure.relations
-    for row in rows:
-        assert sum(row.values()) == 0
-        assert all(c != 0 for c in row.values())
-        assert sum(abs(c) for c in row.values()) <= 6
 
 
 def test_tangent_sums_present(fermat5_presentation):

@@ -9,10 +9,7 @@ from cubicspan.projgeo import (
     Line3,
     Plane3,
     ProjPoint,
-    count_lines,
     dot4,
-    enumerate_lines,
-    enumerate_point_tuples,
     line_through,
     lines_in_plane_through,
     meet,
@@ -21,6 +18,8 @@ from cubicspan.projgeo import (
     rref,
     skew,
 )
+
+from oracles import count_lines, enumerate_lines, enumerate_point_tuples
 
 F2 = make_extension(2, 1)
 F3 = make_extension(3, 1)

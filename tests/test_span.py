@@ -12,7 +12,6 @@ from cubicspan.errors import (
 from cubicspan.field import make_extension
 from cubicspan.projgeo import (
     ProjPoint,
-    enumerate_lines,
     line_through,
     lines_in_plane_through,
     skew,
@@ -38,6 +37,8 @@ from cubicspan.surface import (
     tangent_plane,
     zero_points,
 )
+
+from oracles import enumerate_lines
 
 F4 = make_extension(2, 2)
 F5 = make_extension(5, 1)

@@ -15,7 +15,6 @@ from cubicspan.field import embedding, make_extension
 from cubicspan.projgeo import (
     Line3,
     ProjPoint,
-    enumerate_point_tuples,
     line_through,
     lines_in_plane_through,
 )
@@ -38,6 +37,8 @@ from cubicspan.surface import (
     tangent_plane,
     zero_points,
 )
+
+from oracles import enumerate_point_tuples
 
 F5 = make_extension(5, 1)
 F7 = make_extension(7, 1)
