@@ -24,6 +24,7 @@ from .reduction import (
     FAMILY_MODULUS,
     family_tag,
     point_search,
+    rank_bound_m,
     rank_lower_bound,
     reduce_to_curve,
     reduction_class,
@@ -285,11 +286,7 @@ def _cmd_rank_bound(args) -> int:
     primes = [int(p) for p in args.primes.split(",") if p.strip()]
     if not primes:
         raise ValueError("need at least one prime")
-    m = 1
-    for p in primes:
-        m *= p
-    if family != "S_M":
-        m *= 3
+    m = rank_bound_m(family, primes)
     points = point_search(family, m, args.height)
     report = rank_lower_bound(family, primes, points)
     document = {

@@ -26,6 +26,9 @@ MAX_DEGREE = 24
 # Multiplication switches to exp/log tables when the field fits this bound.
 _TABLE_LIMIT = 1 << 16
 
+# Flat q x q addition and multiplication tables exist up to this field size.
+_FLAT_TABLE_LIMIT = 256
+
 # Root scans brute force the whole field; refuse beyond this size.
 _ROOT_SCAN_LIMIT = 1 << 16
 
@@ -185,6 +188,7 @@ class ExtField:
         self._log: list[int] | None = None
         self._nonresidue: int | None = None
         self._as_matrix: list[int] | None = None  # Artin-Schreier rows as bitmasks
+        self._flat: tuple[list[int], list[int], list[int]] | None = None
         # reduction of x^k .. x^(2k-2) mod the modulus, as coefficient tuples
         red = []
         if k > 1:
@@ -346,6 +350,28 @@ class ExtField:
         for i, v in enumerate(exp):
             log[v] = i
         self._exp, self._log = exp, log
+
+    def flat_tables(self) -> tuple[list[int], list[int], list[int]]:
+        """Flat (add, mul, neg) lookup lists, built on first use.
+
+        add[a*q + b] and mul[a*q + b] hold a + b and a*b, neg[a] holds -a.
+        Hot loops bind them as locals and index instead of calling the
+        methods.  Fields above _FLAT_TABLE_LIMIT elements raise
+        BudgetExceeded before anything is allocated.
+        """
+        if self._flat is None:
+            q = self.q
+            if q > _FLAT_TABLE_LIMIT:
+                raise BudgetExceeded(
+                    f"flat tables over GF({q}) exceed the limit {_FLAT_TABLE_LIMIT}"
+                )
+            add, mul, neg = self.add, self.mul, self.neg
+            self._flat = (
+                [add(a, b) for a in range(q) for b in range(q)],
+                [mul(a, b) for a in range(q) for b in range(q)],
+                [neg(a) for a in range(q)],
+            )
+        return self._flat
 
     # -- roots -------------------------------------------------------------
 

@@ -583,7 +583,11 @@ def _reduction_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
 
     def check_rank_bound():
         primes = _reduction_primes(family, m)
-        report = rank_lower_bound(family, primes, points())
+        pts = points()
+        try:
+            report = rank_lower_bound(family, primes, pts, m=m)
+        except HypothesisFailed as off_convention:
+            return "skip", {}, str(off_convention)
         detail = {
             "achieved_dim": report.achieved_dim,
             "target_dim": report.target_dim,

@@ -239,21 +239,29 @@ def plane_point_basis(plane: Plane3) -> tuple[tuple[int, ...], tuple[int, ...], 
     return basis[0], basis[1], basis[2]
 
 
-def pencil_second_points(plane: Plane3, coords: Sequence[int]) -> list[tuple[int, ...]]:
-    """A second point on each of the q+1 lines of a plane through a point.
+def pencil_basis(plane: Plane3, coords: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The basis pair (e0, e1) that indexes the lines of a plane through a point.
 
-    The point's coordinates must lie in the plane.  Dropping the plane's
-    spanning point that carries the point's first nonzero coordinate leaves
-    a basis pair (e0, e1); the pencil is indexed by P^1 over it, as
-    e0 + t*e1 for each field code t, then e1.  The points are not
-    normalized.
+    The point's coordinates must lie in the plane.  The pair is what is left
+    of plane_point_basis after dropping the spanning point that carries the
+    point's first nonzero coordinate.
     """
-    f = plane.field
     basis = plane_point_basis(plane)
     j0 = next(i for i, c in enumerate(plane.covector) if c)
     pc = [coords[m] for m in range(4) if m != j0]
     m0 = next(i for i, c in enumerate(pc) if c)
     e0, e1 = [basis[i] for i in range(3) if i != m0]
+    return e0, e1
+
+
+def pencil_second_points(plane: Plane3, coords: Sequence[int]) -> list[tuple[int, ...]]:
+    """A second point on each of the q+1 lines of a plane through a point.
+
+    The pencil is indexed by P^1 over pencil_basis (e0, e1), as e0 + t*e1
+    for each field code t, then e1.  The points are not normalized.
+    """
+    f = plane.field
+    e0, e1 = pencil_basis(plane, coords)
     out = [tuple(f.add(a, f.mul(t, b)) for a, b in zip(e0, e1)) for t in f.elements()]
     out.append(e1)
     return out

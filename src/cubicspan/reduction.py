@@ -36,6 +36,7 @@ from .errors import (
     ConstantsUnavailable,
     EqualPoints,
     FamilyMismatch,
+    HypothesisFailed,
     LineOnSurface,
     NotFullyRational,
     NotPrime,
@@ -676,8 +677,17 @@ class RankBoundReport:
     points_used: int
 
 
+def rank_bound_m(family: str, primes: Sequence[int]) -> int:
+    """The M the rank bound works on: prod(p) for S_M, 3*prod(p) for Sprime_M."""
+    m = prod(primes)
+    return m if family_tag(family) == FAMILY_S else 3 * m
+
+
 def rank_lower_bound(
-    family: str, primes: Sequence[int], points: Sequence[SurfacePoint]
+    family: str,
+    primes: Sequence[int],
+    points: Sequence[SurfacePoint],
+    m: Optional[int] = None,
 ) -> RankBoundReport:
     """Dimension of the subgroup of the product of Pic0/n quotients
     generated by point images, relative to the base point (1:-1:0:0).
@@ -685,13 +695,24 @@ def rank_lower_bound(
     The target 2s comes from each factor having dimension exactly 2
     under the prime conditions; the achieved value never exceeds it
     since surjectivity is a statement about all rational points, not a
-    bounded search.
+    bounded search.  M is fixed by the primes (rank_bound_m); a caller
+    that passes the M its points were searched on gets HypothesisFailed
+    up front when the two differ.
     """
     family = family_tag(family)
     n = FAMILY_MODULUS[family]
     primes = tuple(primes)
     if not primes:
         raise ValueError("need at least one prime")
+    conventional = rank_bound_m(family, primes)
+    if m is None:
+        m = conventional
+    elif m != conventional:
+        factor = "prod(p)" if family == FAMILY_S else "3*prod(p)"
+        raise HypothesisFailed(
+            f"the rank bound on {family} over primes {list(primes)} takes "
+            f"M = {factor} = {conventional}, not M = {m}"
+        )
     for p in primes:
         if not is_prime(p) or p == 3:
             raise NotPrime(f"{p} is not an admissible prime")
@@ -704,7 +725,6 @@ def rank_lower_bound(
         else:
             if not cond.one_mod_three:
                 raise PrimeConditionFailed(f"{p} is not 1 mod 3")
-    m = prod(primes) if family == FAMILY_S else 3 * prod(primes)
     quotients = [_quotient(p, n) for p in primes]
     base = base_surface_point(family, m)
     base_vec: list[int] = []

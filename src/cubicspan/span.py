@@ -12,6 +12,14 @@ gradient pairings grad F(P).Q and grad F(Q).P.  The third intersection
 point is therefore an explicit combination of P and Q, which lets a whole
 surface be preprocessed into an integer table of third-point indices;
 closure runs are then pure index pushing.
+
+The preprocessing runs on the field's flat add/mul/neg tables
+(ExtField.flat_tables).  A secant that meets the surface in three distinct
+points is solved once, from whichever of its pairs comes first, and fills
+all three pair entries.  The tangent pencil at a point P is one line of
+second points e0 + t*e1 (then e1): F and sum_m P_m dF/dx_m are restricted
+to it once, and each pencil line reads its two coefficients off those
+polynomials by Horner's rule in t.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from .errors import (
     HypothesisFailed,
     PointNotOnSurface,
 )
-from .projgeo import Line3, Plane3, ProjPoint, normalize, pencil_second_points, skew
+from .projgeo import Line3, Plane3, ProjPoint, pencil_basis, skew
 from .surface import (
     CubicForm,
     PointKind,
@@ -52,9 +60,13 @@ class SpanTable:
 
     pair_third is a flattened N x N array: entry i*N+j holds the index of
     the third intersection point of the line through points i and j, or -1
-    when that line lies inside the surface.  tangent_thirds[i] lists the
-    third points of the non-contained tangent lines at point i; an entry
-    equal to i itself records an asymptotic line.
+    when that line lies inside the surface.  When the secant through i and
+    j meets the surface in three distinct points i, j, k, one solve fills
+    the entries of all three pairs; when k is i or j the line is tangent
+    there and only the pair (i, j) is filled.  tangent_thirds[i] lists the
+    third points of the non-contained tangent lines at point i, in the
+    order of projgeo.pencil_second_points; an entry equal to i itself
+    records an asymptotic line.
     """
 
     __slots__ = ("form", "points", "index", "pair_third", "tangent_thirds")
@@ -70,44 +82,96 @@ class SpanTable:
         index = {p.coords: i for i, p in enumerate(points)}
         self.index = index
         grads = [form.gradient(p.coords) for p in points]
-        add, mul, neg = f.add, f.mul, f.neg
+        q = f.q
+        add, mul, neg = f.flat_tables()
+        # inverses premultiplied by q, ready to index a row of mul
+        inv_row = [0] + [f.inv(a) * q for a in range(1, q)]
 
-        def dot(g, c):
-            acc = 0
-            for a, b in zip(g, c):
-                if a and b:
-                    acc = add(acc, mul(a, b))
-            return acc
+        def lookup(w0, w1, w2, w3):
+            """The index of the point w, scaled so its first nonzero entry is 1."""
+            if w0:
+                s = inv_row[w0]
+                return index[(1, mul[s + w1], mul[s + w2], mul[s + w3])]
+            if w1:
+                s = inv_row[w1]
+                return index[(0, 1, mul[s + w2], mul[s + w3])]
+            if w2:
+                return index[(0, 0, 1, mul[inv_row[w2] + w3])]
+            return index[(0, 0, 0, 1)]
 
+        coords = [p.coords for p in points]
+        grad_rows = [tuple(g * q for g in grad) for grad in grads]
         table = array("i", [-1]) * (n * n)
         for i in range(n):
-            u = points[i].coords
-            gi = grads[i]
+            u0, u1, u2, u3 = coords[i]
+            g0, g1, g2, g3 = grad_rows[i]
             base = i * n
             for j in range(i + 1, n):
-                v = points[j].coords
-                c1 = dot(gi, v)
-                c2 = dot(grads[j], u)
+                if table[base + j] >= 0:
+                    continue  # filled by an earlier solve on the same secant
+                v0, v1, v2, v3 = coords[j]
+                h0, h1, h2, h3 = grad_rows[j]
+                c1 = add[add[add[mul[g0 + v0] * q + mul[g1 + v1]] * q + mul[g2 + v2]] * q + mul[g3 + v3]]
+                c2 = add[add[add[mul[h0 + u0] * q + mul[h1 + u1]] * q + mul[h2 + u2]] * q + mul[h3 + u3]]
                 if c1 == 0 and c2 == 0:
                     continue  # line inside the surface
-                nc1 = neg(c1)
-                coords = tuple(add(mul(c2, a), mul(nc1, b)) for a, b in zip(u, v))
-                k = index[normalize(f, coords)]
-                table[base + j] = k
-                table[j * n + i] = k
+                a = c2 * q
+                b = neg[c1] * q
+                k = lookup(
+                    add[mul[a + u0] * q + mul[b + v0]],
+                    add[mul[a + u1] * q + mul[b + v1]],
+                    add[mul[a + u2] * q + mul[b + v2]],
+                    add[mul[a + u3] * q + mul[b + v3]],
+                )
+                table[base + j] = table[j * n + i] = k
+                if k != i and k != j:
+                    # the secant meets the surface in exactly i, j and k
+                    table[i * n + k] = table[k * n + i] = j
+                    table[j * n + k] = table[k * n + j] = i
         self.pair_third = table
 
         tangents = []
         for i in range(n):
-            u = points[i].coords
+            u = coords[i]
+            u0, u1, u2, u3 = u
+            e0, e1 = pencil_basis(Plane3(f, grads[i]), u)
+            # F and sum_m u_m dF/dx_m along e0 + t*e1, ascending in t
+            a0, a1, a2, a3 = form.restrict_to_line(e0, e1)
+            d0 = d1 = d2 = 0
+            for m in range(4):
+                if u[m]:
+                    s = u[m] * q
+                    b0, b1, b2 = form.partial_on_line(m, e0, e1)
+                    d0 = add[d0 * q + mul[s + b0]]
+                    d1 = add[d1 * q + mul[s + b1]]
+                    d2 = add[d2 * q + mul[s + b2]]
+            f0, f1, f2, f3 = e0
+            x0, x1, x2, x3 = (c * q for c in e1)
             thirds = []
-            for w in pencil_second_points(Plane3(f, grads[i]), u):
-                c2 = dot(form.gradient(w), u)
-                c3 = form.evaluate(w)
+            for t in range(q + 1):
+                if t < q:
+                    h = add[mul[a3 * q + t] * q + a2]
+                    h = add[mul[h * q + t] * q + a1]
+                    c3 = add[mul[h * q + t] * q + a0]
+                    h = add[mul[d2 * q + t] * q + d1]
+                    c2 = add[mul[h * q + t] * q + d0]
+                    w0 = add[f0 * q + mul[x0 + t]]
+                    w1 = add[f1 * q + mul[x1 + t]]
+                    w2 = add[f2 * q + mul[x2 + t]]
+                    w3 = add[f3 * q + mul[x3 + t]]
+                else:  # the line through e1 takes the leading coefficients
+                    c3, c2 = a3, d2
+                    w0, w1, w2, w3 = e1
                 if c2 == 0 and c3 == 0:
                     continue  # pencil line inside the surface
-                coords = tuple(add(mul(c3, a), mul(neg(c2), b)) for a, b in zip(u, w))
-                thirds.append(index[normalize(f, coords)])
+                a = c3 * q
+                b = neg[c2] * q
+                thirds.append(lookup(
+                    add[mul[a + u0] * q + mul[b + w0]],
+                    add[mul[a + u1] * q + mul[b + w1]],
+                    add[mul[a + u2] * q + mul[b + w2]],
+                    add[mul[a + u3] * q + mul[b + w3]],
+                ))
             tangents.append(tuple(thirds))
         self.tangent_thirds = tangents
 

@@ -260,6 +260,18 @@ def test_verify_reduction_suite_human(capsys):
     assert "reduction/rank_bound: pass" in out
 
 
+def test_verify_reduction_suite_on_sprime_skips_rank_bound(capsys):
+    # the default --M 31 is not the 3*prod(p) = 93 the rank bound uses
+    code, doc = run_json(
+        capsys, ["verify", "--suite", "reduction", "--family", "Sprime_M"]
+    )
+    assert code == 0
+    by_name = {r["name"]: r for r in doc["results"]}
+    assert by_name["reduction/rank_bound"]["status"] == "skip"
+    assert "M = 3*prod(p) = 93, not M = 31" in by_name["reduction/rank_bound"]["reason"]
+    assert doc["counts"]["fail"] == 0
+
+
 def test_verify_check_selection(capsys):
     code, doc = run_json(
         capsys,

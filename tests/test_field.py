@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cubicspan.errors import DegreeTooLarge, HypothesisFailed, IdenticallyZero, NotPrime
+from cubicspan.errors import BudgetExceeded, DegreeTooLarge, HypothesisFailed, IdenticallyZero, NotPrime
 from cubicspan.field import (
+    _FLAT_TABLE_LIMIT,
     CubicRoots,
     cube_roots_of_unity,
     embedding,
@@ -246,3 +248,30 @@ def test_large_field_without_tables():
     a, b = 0b1011011, 0b1100101110001
     assert fld.mul(a, fld.inv(a)) == 1
     assert fld.mul(fld.add(a, b), fld.add(a, b)) == fld.add(fld.mul(a, a), fld.mul(b, b))
+
+
+@pytest.mark.parametrize("pk", [(2, 1), (2, 2), (3, 2), (13, 1), (5, 2)])
+def test_flat_tables_agree_with_the_methods(pk):
+    f = make_extension(*pk)
+    q = f.q
+    add, mul, neg = f.flat_tables()
+    assert len(add) == len(mul) == q * q and len(neg) == q
+    for a in range(q):
+        assert neg[a] == f.neg(a)
+        for b in range(q):
+            assert add[a * q + b] == f.add(a, b)
+            assert mul[a * q + b] == f.mul(a, b)
+    assert f.flat_tables() is f.flat_tables()
+
+
+def test_flat_tables_refuse_large_fields():
+    f = make_extension(257, 1)
+    assert f.q > _FLAT_TABLE_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            f.flat_tables()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # two q x q tables of GF(257) would take over 1 MB

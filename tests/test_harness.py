@@ -178,6 +178,28 @@ def test_machinery_value_error_in_line_relations_propagates(monkeypatch):
         run_suite("reduction", config)
 
 
+@pytest.mark.parametrize("family, m", [("Sprime", 217), ("S_M", 93)])
+def test_rank_bound_off_convention_is_skipped(family, m):
+    config = ExperimentConfig(family=family, m=m, height=6, pair_cap=10)
+    report = run_suite("reduction", config)
+    by_name = {r.name: r for r in report.results}
+    rank = by_name["reduction/rank_bound"]
+    assert rank.status == "skip"
+    convention = "3*prod(p)" if family == "Sprime" else "prod(p)"
+    assert f"M = {convention}" in rank.reason
+    assert f"not M = {m}" in rank.reason
+
+
+def test_machinery_error_in_rank_bound_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("machinery fault")
+
+    monkeypatch.setattr("cubicspan.harness.rank_lower_bound", broken)
+    config = ExperimentConfig(height=6, pair_cap=10, checks=("reduction/rank_bound",))
+    with pytest.raises(ValueError, match="machinery fault"):
+        run_suite("reduction", config)
+
+
 def test_default_reduction_suite_report_is_pinned():
     report = run_suite("reduction")
     by_name = {r.name: r for r in report.results}

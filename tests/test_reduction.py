@@ -15,6 +15,7 @@ from cubicspan.errors import (
     ConstantsUnavailable,
     EqualPoints,
     FamilyMismatch,
+    HypothesisFailed,
     NotFullyRational,
     NotPrime,
     PrimeConditionFailed,
@@ -33,6 +34,7 @@ from cubicspan.reduction import (
     line_on_del_pezzo,
     newton_polygon,
     point_search,
+    rank_bound_m,
     rank_lower_bound,
     reduce_to_curve,
     reduction_class,
@@ -459,6 +461,20 @@ def test_rank_bound_prime_conditions(pts31):
         rank_lower_bound(FAMILY_S, [43], pts31)
     with pytest.raises(ValueError):
         rank_lower_bound(FAMILY_S, [], [])
+
+
+def test_rank_bound_checks_m_against_its_convention(pts31, pts93):
+    assert rank_bound_m(FAMILY_S, [7, 31]) == 217
+    assert rank_bound_m(FAMILY_SPRIME, [7, 31]) == 651
+    assert rank_lower_bound(FAMILY_S, [31], pts31, m=31).achieved_dim == 2
+    assert rank_lower_bound(FAMILY_SPRIME, [31], pts93, m=93).achieved_dim == 2
+    with pytest.raises(HypothesisFailed, match=r"M = 3\*prod\(p\) = 93, not M = 31"):
+        rank_lower_bound(FAMILY_SPRIME, [31], pts31, m=31)
+    with pytest.raises(HypothesisFailed, match=r"M = prod\(p\) = 31, not M = 93"):
+        rank_lower_bound(FAMILY_S, [31], pts93, m=93)
+    # a point of another surface is still refused point by point
+    with pytest.raises(FamilyMismatch):
+        rank_lower_bound(FAMILY_SPRIME, [31], pts31, m=93)
 
 
 def test_del_pezzo_smallest_prime():

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from cubicspan.errors import (
     PointNotOnSurface,
 )
 from cubicspan.field import make_extension
+from cubicspan.harness import random_smooth_surface
 from cubicspan.projgeo import (
     ProjPoint,
     line_through,
@@ -43,6 +45,7 @@ from oracles import enumerate_lines
 F4 = make_extension(2, 2)
 F5 = make_extension(5, 1)
 F7 = make_extension(7, 1)
+F9 = make_extension(3, 2)
 F13 = make_extension(13, 1)
 
 # smooth over F_7, exactly one rational line (so no skew pair)
@@ -135,6 +138,75 @@ def test_pair_table_cross_checked_in_characteristic_two(ext):
                 [table.points[i].coords, table.points[j].coords, table.points[k].coords]
             )
             assert _cycle_multiset(form, line) == expected
+
+
+def test_tables_cross_checked_in_odd_characteristic_extension():
+    form = random_smooth_surface(F9, 1)
+    table = SpanTable(form)
+    pts = table.points
+    n = len(pts)
+    assert n == 100
+    contained = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            k = table.pair_third[i * n + j]
+            assert table.pair_third[j * n + i] == k
+            line = line_through(pts[i], pts[j])
+            if k < 0:
+                assert intersect_line(form, line).contained
+                contained += 1
+                continue
+            expected = Counter([pts[i].coords, pts[j].coords, pts[k].coords])
+            assert _cycle_multiset(form, line) == expected
+    assert contained > 0
+    for i, point in enumerate(pts):
+        expected = []
+        for line in lines_in_plane_through(tangent_plane(form, point), point):
+            cycle = _cycle_multiset(form, line)
+            if cycle is None:
+                continue  # contained in the surface
+            rest = cycle - Counter({point.coords: 2})
+            assert sum(rest.values()) == 1
+            (third,) = rest
+            expected.append(third)
+        assert [pts[k].coords for k in table.tangent_thirds[i]] == expected
+
+
+#: SHA-256 of pair_third.tobytes() and of repr(tangent_thirds), recorded
+#: before the table build moved to flat field tables and one solve per secant
+TABLE_DIGESTS = [
+    (
+        lambda: fermat_cubic(F13),
+        "77a132d08e3b9355ed2288d15db9e41274eabcfb0715ab1a6ba72c217daf04c5",
+        "2f1f86c99f3ea654134e250a1ec1d899fa182d527b798f7d99eb437455ca006a",
+    ),
+    (
+        lambda: random_smooth_surface(make_extension(2, 4), 2),
+        "565daa4d240f1b9ddff1b4b22aed793ee498f09dbb72c99d429fdfadf25c047d",
+        "3253179d9a116a7f251c03389710d30008db4dbc5b0c05be51016297806b9572",
+    ),
+    (
+        lambda: random_smooth_surface(make_extension(5, 2), 3),
+        "48aa4562af3fdce77a1c2ce32eedd51ed71b88b55f6260f7c7b0192e5ae30a7c",
+        "308fc8d3ccfa4263833549da0eef3b12cab4e21c25b2670af66f2174fc47e718",
+    ),
+    (
+        lambda: random_smooth_surface(F7, 4),
+        "375e5d720df34c64364265a52491cb929f31270e0968a2a8337966c02a6b3973",
+        "3ac1d0684ac4b6dff5f69ecf204f4b634539c5aff965bf96ac0a4703393d8216",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make_form, pair_digest, tangent_digest",
+    TABLE_DIGESTS,
+    ids=["fermat-gf13", "gf16-s2", "gf25-s3", "gf7-s4"],
+)
+def test_table_bytes_are_pinned(make_form, pair_digest, tangent_digest):
+    table = SpanTable(make_form())
+    assert hashlib.sha256(table.pair_third.tobytes()).hexdigest() == pair_digest
+    assert hashlib.sha256(repr(table.tangent_thirds).encode()).hexdigest() == tangent_digest
 
 
 def test_tangent_thirds_match_pencil_cycles(fermat5_table):
