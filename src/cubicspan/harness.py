@@ -74,9 +74,6 @@ SUITE_NAMES = ("geometry", "span", "hs", "pic", "reduction", "all")
 #: surfaces the span and hs suites know how to build from a config
 SURFACE_CHOICES = ("fermat", "example64", "random")
 
-#: largest field a rejection sampler will draw coefficients over
-SAMPLING_Q_LIMIT = 64
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -221,20 +218,14 @@ def random_cubic_form(field_: ExtField, rng: random.Random) -> CubicForm:
             continue
 
 
-def random_smooth_surface(
-    field_: ExtField,
-    seed: int,
-    attempts: int = 200,
-    q_limit: int = SAMPLING_Q_LIMIT,
-) -> CubicForm:
+def random_smooth_surface(field_: ExtField, seed: int, attempts: int = 200) -> CubicForm:
     """Rejection-sample coefficient vectors until the surface is smooth.
 
     Deterministic under the seed: the sampler is random.Random(seed) and
     every draw is a randrange call, one per monomial in the fixed
-    descending order.  The acceptance rate goes to the debug log.
+    descending order.  The acceptance rate goes to the debug log.  Over a
+    field above the flat-table limit the certificate raises BudgetExceeded.
     """
-    if field_.q > q_limit:
-        raise BudgetExceeded(f"sampling over GF({field_.q}) exceeds the limit {q_limit}")
     rng = random.Random(seed)
     for trial in range(1, attempts + 1):
         form = random_cubic_form(field_, rng)

@@ -13,7 +13,7 @@ by their flattened canonical matrix.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import EqualPoints
 from .field import ExtField
@@ -52,6 +52,34 @@ def rref(field: ExtField, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]
         if r == len(mat):
             break
     return mat[:r] + [row for row in mat[r:] if any(row)], pivots
+
+
+def rank(field: ExtField, rows: Iterable[Sequence[int]]) -> int:
+    """Rank of a matrix over the field, by forward elimination on flat tables.
+
+    Each row is reduced against the echelon rows kept so far, in the order
+    they were kept; a row left nonzero is scaled to a leading 1 and kept.
+    Reading stops once the rank reaches the column count.  Fields above the
+    flat-table limit raise BudgetExceeded.
+    """
+    add, mul, neg = field.flat_tables()
+    q = field.q
+    echelon: list[tuple[int, list[int]]] = []
+    for row in rows:
+        row = list(row)
+        for lead, tail in echelon:
+            c = row[lead]
+            if c:
+                base = neg[c] * q
+                row[lead:] = [add[x * q + mul[base + y]] for x, y in zip(row[lead:], tail)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        base = field.inv(row[lead]) * q
+        echelon.append((lead, [mul[base + x] for x in row[lead:]]))
+        if len(echelon) == len(row):
+            break
+    return len(echelon)
 
 
 class ProjPoint:

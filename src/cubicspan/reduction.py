@@ -42,7 +42,7 @@ from .errors import (
     NotPrime,
     PrimeConditionFailed,
 )
-from .field import factorize, is_prime
+from .field import factorize, is_prime, make_extension
 from .hsgroup import _xgcd, snf_with_transforms
 from .planecubic import (
     CurvePoint,
@@ -54,6 +54,7 @@ from .planecubic import (
     pic_mod,
     prime_condition,
 )
+from .projgeo import rank
 from .surface import FAMILIES, CubicForm, family_tag
 
 FAMILY_S = "S_M"
@@ -641,29 +642,6 @@ def reduction_coverage(points: Iterable[SurfacePoint], p: int) -> ReductionCover
     return ReductionCoverage(p=p, hit=len(hit), total=len(everything), missed=missed)
 
 
-def _fn_rank(rows: list[list[int]], n: int) -> int:
-    rows = [[x % n for x in row] for row in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, n)
-        rows[r] = [(x * inv) % n for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % n for x, y in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-        if r == len(rows):
-            break
-    return rank
-
-
 @dataclass(frozen=True)
 class RankBoundReport:
     """Achieved dimension of the generated subgroup versus the target 2s."""
@@ -739,7 +717,7 @@ def rank_lower_bound(
             vec.extend(q.coordinates(reduction_class(pt, p, n)))
         rows.append([(a - b) % n for a, b in zip(vec, base_vec)])
     target = sum(q.dim for q in quotients)
-    achieved = _fn_rank(rows, n) if rows else 0
+    achieved = rank(make_extension(n, 1), rows)
     if achieved > target:
         raise AssertionError("achieved dimension exceeded the ambient dimension")
     return RankBoundReport(

@@ -35,6 +35,7 @@ from .field import (
     make_extension,
     roots_of_cubic,
     solve_quadratic,
+    univariate_gcd,
 )
 from .projgeo import (
     Line3,
@@ -43,20 +44,22 @@ from .projgeo import (
     line_through,
     lines_in_plane_through,
     normalize,
+    rank,
 )
 
-#: exponent vectors of the 20 degree-3 monomials, descending
-MONOMIALS = tuple(
-    sorted(
-        (
-            (e0, e1, e2, 3 - e0 - e1 - e2)
-            for e0 in range(4)
-            for e1 in range(4 - e0)
-            for e2 in range(4 - e0 - e1)
-        ),
-        reverse=True,
+
+def _monomials(degree: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Exponent vectors of the monomials of one degree in x0..x3, descending."""
+    return tuple(
+        (e0, e1, e2, degree - e0 - e1 - e2)
+        for e0 in range(degree, -1, -1)
+        for e1 in range(degree - e0, -1, -1)
+        for e2 in range(degree - e0 - e1, -1, -1)
     )
-)
+
+
+#: exponent vectors of the 20 degree-3 monomials, descending
+MONOMIALS = _monomials(3)
 
 _UNIT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
@@ -491,97 +494,95 @@ def lines_on_surface(form: CubicForm, extension: int = 1, pair_budget: int = LIN
 
 @dataclass(frozen=True)
 class SmoothnessReport:
-    """Outcome of the bounded singular-point search.
+    """Outcome of the smoothness certificate.
 
-    witness is (extension degree over the base field, coordinates over that
-    extension) when a singular point was found.  scanned_degrees lists the
-    extensions whose points were enumerated in full; on top of that the
-    rational lines of the surface are searched for conjugate singular pairs,
-    which catches every singular point of degree up to 2 exactly.
+    smooth is exact.  A singular surface carries a witness (degree of the
+    point's field over the base field, coordinates over that field) when
+    it has a singular point of degree 1 or 2, and None otherwise.
     """
 
     smooth: bool
     witness: Optional[tuple[int, tuple[int, ...]]]
-    scanned_degrees: tuple[int, ...]
-    line_reinforced: bool
 
     def __bool__(self) -> bool:
         return self.smooth
 
 
-def is_smooth(form: CubicForm, k_max: int = 12, point_budget: int = 600_000) -> SmoothnessReport:
-    """Search for singular points over F_{q^k}, k <= k_max, within budget.
+def is_smooth(form: CubicForm) -> SmoothnessReport:
+    """Decide smoothness by the rank of one Macaulay matrix over F_q.
 
-    Full point scans run while the extension stays under point_budget; the
-    rational-line reinforcement then rules out singular points of degree 2
-    regardless of budget, because two conjugate singular points span a
-    rational line that the surface must contain.
+    The four partials have no common zero over the algebraic closure exactly
+    when their multiples by the cubic monomials span all 56 quintics
+    (Lazard's bound), and by Euler's identity 3F = sum x_i dF/dx_i such a
+    zero lies on the surface.  In characteristic 3, F joins the generators
+    in degree 6 (84 columns).  Rank is stable under field extension, so
+    singular points of every degree count.  A singular surface is then
+    searched for a witness: rational points, then conjugate pairs on lines.
     """
     f = form.field
     if f is None:
         raise TypeError("smoothness is checked over a finite field")
-    scanned = []
-    for k in range(1, k_max + 1):
-        ext = make_extension(f.p, f.k * k)
-        if ext.q ** 3 > point_budget:
-            break
-        g = form.embed(ext) if k > 1 else form
-        for coords in zero_points(g):
-            if not any(g.gradient(coords)):
-                return SmoothnessReport(False, (k, coords), tuple(scanned), False)
-        scanned.append(k)
-    reinforced = False
-    if f.q * f.q <= LINE_SCAN_BUDGET:
-        reinforced = True
-        for line in lines_on_surface(form):
-            witness = _singular_point_on_line(form, line)
-            if witness is not None:
-                return SmoothnessReport(False, witness, tuple(scanned), True)
-    return SmoothnessReport(True, None, tuple(scanned), reinforced)
+    gens = [
+        (2, [(tuple(map(idxs.count, range(4))), c) for c, idxs in terms])
+        for terms in form._partials()
+    ]
+    degree = 5
+    if f.p == 3:
+        gens.append((3, list(form.coeffs.items())))
+        degree = 6
+    columns = {mono: j for j, mono in enumerate(_monomials(degree))}
+
+    def rows():
+        for gen_degree, terms in gens:
+            for shift in _monomials(degree - gen_degree):
+                row = [0] * len(columns)
+                for mono, c in terms:
+                    row[columns[tuple(map(operator.add, mono, shift))]] = c
+                yield row
+
+    if rank(f, rows()) == len(columns):
+        return SmoothnessReport(True, None)
+    for coords in zero_points(form):
+        if not any(form.gradient(coords)):
+            return SmoothnessReport(False, (1, coords))
+    for line in lines_on_surface(form):
+        witness = _singular_point_on_line(form, line)
+        if witness is not None:
+            return SmoothnessReport(False, witness)
+    return SmoothnessReport(False, None)
 
 
 def _singular_point_on_line(form: CubicForm, line: Line3):
-    """A common zero of the four partials along a contained line, if any.
+    """A singular point of degree 2 on a contained line, if there is one.
 
-    The restricted partials are binary quadratics; a common projective root
-    is a singular surface point.  Dehomogenizing at s = 1 misses only the
-    root (0 : 1), which shows up as every quadratic losing its t^2 term.
+    The partials restrict to binary quadratics along the line, and their
+    common roots are its singular points.  is_smooth calls this only once
+    no rational point is singular, so the one case left is a gcd (at s = 1)
+    that is an irreducible quadratic: a conjugate pair over F_{q^2}.
     """
-    from .field import univariate_gcd
-
     f = form.field
     u, v = line.rows
-    quads = [form.partial_on_line(i, u, v) for i in range(4)]
-    nonzero = [q for q in quads if any(q)]
-    if not nonzero:
-        return (1, line.point_at(1, 0).coords)
-    if all(q[2] == 0 for q in nonzero):
-        return (1, line.point_at(0, 1).coords)
-    g = list(nonzero[0])
-    for quad in nonzero[1:]:
-        g = univariate_gcd(f, g, list(quad))
-        if len(g) <= 1:
-            return None
-    while g and g[-1] == 0:
-        g.pop()
-    if len(g) <= 1:
+    g: list[int] = []
+    for i in range(4):
+        g = univariate_gcd(f, g, form.partial_on_line(i, u, v))
+    if len(g) != 3 or solve_quadratic(f, g[2], g[1], g[0]):
         return None
-    if len(g) == 2:
-        return (1, line.point_at(1, f.div(f.neg(g[0]), g[1])).coords)
-    rational = solve_quadratic(f, g[2], g[1], g[0])
-    if rational:
-        t0 = rational[0][0]
-        return (1, line.point_at(1, t0).coords)
-    # irreducible quadratic gcd: conjugate singular pair over the quadratic
-    # extension
-    ext = make_extension(f.p, 2 * f.k)
-    emb = embedding(f, ext)
-    roots = solve_quadratic(ext, emb(g[2]), emb(g[1]), emb(g[0]))
-    t0 = roots[0][0]
-    ue = tuple(emb(c) for c in u)
-    ve = tuple(emb(c) for c in v)
-    coords = tuple(ext.add(a, ext.mul(t0, b)) for a, b in zip(ue, ve))
-    return (2, normalize(ext, coords))
+    ext, _emb, lifted = _quadratic_lift(f, g, u, v)
+    return (2, normalize(ext, lifted[0][0]))
+
+
+def _quadratic_lift(field: ExtField, quad: Sequence[int], u: Sequence[int], v: Sequence[int]):
+    """The quadratic extension, the embedding into it, and (u + t*v, multiplicity)
+    for each root t of quad[0] + quad[1] t + quad[2] t^2 there, by root code."""
+    ext = make_extension(field.p, 2 * field.k)
+    emb = embedding(field, ext)
+    ue = [emb(c) for c in u]
+    ve = [emb(c) for c in v]
+    points = [
+        (tuple(ext.add(a, ext.mul(t, b)) for a, b in zip(ue, ve)), mult)
+        for t, mult in solve_quadratic(ext, emb(quad[2]), emb(quad[1]), emb(quad[0]))
+    ]
+    return ext, emb, points
 
 
 # -- line-surface intersection ------------------------------------------
@@ -644,14 +645,8 @@ def intersect_line(form: CubicForm, line: Line3, resolve: bool = True) -> Inters
     unresolved: list[tuple[int, int]] = []
     if cr.extension_roots:
         if cr.extension_degree == 2 and resolve:
-            ext = make_extension(f.p, 2 * f.k)
-            emb = embedding(f, ext)
-            g = cr.leftover
-            ue = tuple(emb(c) for c in u)
-            ve = tuple(emb(c) for c in v)
-            for t0, mult in solve_quadratic(ext, emb(g[2]), emb(g[1]), emb(g[0])):
-                coords = [ext.add(a, ext.mul(t0, b)) for a, b in zip(ue, ve)]
-                entries.append(DivisorEntry(ProjPoint(ext, coords), mult, 2))
+            ext, _emb, lifted = _quadratic_lift(f, cr.leftover, u, v)
+            entries.extend(DivisorEntry(ProjPoint(ext, c), mult, 2) for c, mult in lifted)
         else:
             unresolved.append((cr.extension_degree, cr.extension_roots))
     return IntersectionDivisor(line, False, tuple(entries), tuple(unresolved))
@@ -783,13 +778,10 @@ def gamma_curve(form: CubicForm, point: ProjPoint) -> GammaCurve:
     if ext_count:
         # conjugate direction pair: test one of the two lines over the
         # quadratic extension; divisibility is Galois-stable
-        ext = make_extension(f.p, 2 * f.k)
-        emb = embedding(f, ext)
+        ext, emb, lifted = _quadratic_lift(f, cone, ea, eb)
         terms_e = [(emb(c), idxs) for c, idxs in cubic_terms]
         pp_e = tuple(emb(c) for c in pp)
-        (t0, _), _pair = solve_quadratic(ext, emb(cone[2]), emb(cone[1]), emb(cone[0]))
-        dir_e = tuple(ext.add(x, ext.mul(t0, y)) for x, y in zip((emb(c) for c in ea), (emb(c) for c in eb)))
-        if _curve_contains_line(ext, terms_e, pp_e, dir_e):
+        if _curve_contains_line(ext, terms_e, pp_e, lifted[0][0]):
             return GammaCurve(
                 plane, basis, cubic, pp, cone, tuple(roots), ext_count, tail, dirs,
                 GammaType.THREE_LINES, "node", (), 2,

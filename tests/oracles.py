@@ -76,3 +76,38 @@ def enumerate_canonical_rows(field: ExtField) -> Iterator[tuple[tuple[int, ...],
 def enumerate_lines(field: ExtField) -> Iterator[Line3]:
     for rows in enumerate_canonical_rows(field):
         yield Line3(field, rows, _canonical=True)
+
+
+def groebner_smooth(form) -> bool:
+    """Smoothness of a cubic surface over GF(p^k) by sympy Groebner bases.
+
+    The field generator becomes a variable a bound by the field's modulus,
+    so the bases are computed over GF(p).  The surface is smooth exactly
+    when F and its four partials have no common zero in any affine chart
+    x_i = 1, that is, when every chart's basis is {1}.
+    """
+    import sympy
+
+    field = form.field
+    a = sympy.Symbol("a")
+    xs = sympy.symbols("x0:4")
+
+    def element(code):
+        return sum(c * a**i for i, c in enumerate(field.decode(code)))
+
+    cubic = sum(
+        element(c) * sympy.Mul(*(x**e for x, e in zip(xs, mono)))
+        for mono, c in form.coeffs.items()
+    )
+    system = [cubic] + [sympy.diff(cubic, x) for x in xs]
+    modulus = sum(c * a**i for i, c in enumerate(field.modulus))
+    for i, x in enumerate(xs):
+        chart = [sympy.expand(g.subs(x, 1)) for g in system]
+        gens = [y for y in xs if y is not x]
+        if field.k > 1:
+            chart.append(modulus)
+            gens.append(a)
+        basis = sympy.groebner(chart, *gens, modulus=field.p, order="grevlex")
+        if list(basis.exprs) != [1]:
+            return False
+    return True

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -11,12 +12,20 @@ from cubicspan.harness import (
     CheckResult,
     ExperimentConfig,
     VerificationReport,
+    random_cubic_form,
     random_smooth_surface,
     run_suite,
     suite_checks,
     surface_for_config,
 )
-from cubicspan.surface import is_smooth, lines_on_surface, surface_with_27_lines_over_f64
+from cubicspan.surface import (
+    SmoothnessReport,
+    is_smooth,
+    lines_on_surface,
+    surface_with_27_lines_over_f64,
+)
+
+from oracles import groebner_smooth
 
 
 # -- configs ------------------------------------------------------------
@@ -118,9 +127,33 @@ def test_sampler_budget_exhaustion():
 
 
 def test_sampler_field_size_limit():
-    f81 = make_extension(3, 4)
+    f257 = make_extension(257, 1)
     with pytest.raises(BudgetExceeded, match="limit"):
-        random_smooth_surface(f81, 1)
+        random_smooth_surface(f257, 1)
+
+
+def test_sampler_rejects_a_draw_singular_over_gf125():
+    # the second GF(5) draw of seed 87 is singular at a point of degree 3,
+    # which neither a rational point nor a rational line carries
+    f5 = make_extension(5, 1)
+    rng = random.Random(87)
+    draws = [random_cubic_form(f5, rng) for _ in range(5)]
+    assert is_smooth(draws[1]) == SmoothnessReport(False, None)
+    lifted = draws[1].embed(make_extension(5, 3))
+    assert lifted.evaluate((1, 29, 74, 37)) == 0
+    assert lifted.gradient((1, 29, 74, 37)) == (0, 0, 0, 0)
+    form = random_smooth_surface(f5, 87)
+    assert form == draws[4]
+    assert groebner_smooth(form)
+
+
+def test_sampler_rejects_a_draw_singular_beyond_gf64():
+    f8 = make_extension(2, 3)
+    rng = random.Random(105)
+    draws = [random_cubic_form(f8, rng) for _ in range(3)]
+    assert not is_smooth(draws[1])
+    assert not groebner_smooth(draws[1])
+    assert random_smooth_surface(f8, 105) == draws[2]
 
 
 def test_surface_for_config_choices():

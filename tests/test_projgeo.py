@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cubicspan.errors import EqualPoints
+from cubicspan.errors import BudgetExceeded, EqualPoints
 from cubicspan.field import make_extension
 from cubicspan.projgeo import (
     Line3,
@@ -15,6 +15,7 @@ from cubicspan.projgeo import (
     meet,
     plane_point_basis,
     planes_through_line,
+    rank,
     rref,
     skew,
 )
@@ -183,3 +184,27 @@ def test_lines_in_plane_through():
         assert all(pl.contains(p) for p in line.points())
     with pytest.raises(ValueError):
         lines_in_plane_through(pl, ProjPoint(f, (1, 0, 0, 0)))
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 2), (5, 2)])
+def test_rank_matches_rref_pivots(p, k):
+    f = make_extension(p, k)
+    rng = random.Random(f.q)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(0, 10), rng.randrange(1, 10)
+        # rows drawn from the span of a few random rows, so rank deficits occur
+        basis = [[rng.randrange(f.q) for _ in range(ncols)] for _ in range(rng.randrange(1, 6))]
+        rows = []
+        for _ in range(nrows):
+            row = [0] * ncols
+            for b in basis:
+                c = rng.randrange(f.q)
+                row = [f.add(x, f.mul(c, y)) for x, y in zip(row, b)]
+            rows.append(row)
+        assert rank(f, rows) == len(rref(f, rows)[1])
+        assert rank(f, iter(rows)) == rank(f, rows[::-1])
+
+
+def test_rank_refuses_fields_above_the_flat_table_limit():
+    with pytest.raises(BudgetExceeded, match="limit"):
+        rank(make_extension(257, 1), [[1, 2], [3, 4]])

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -12,11 +13,13 @@ from cubicspan.errors import (
     SingularPoint,
 )
 from cubicspan.field import embedding, make_extension
+from cubicspan.harness import random_cubic_form
 from cubicspan.projgeo import (
     Line3,
     ProjPoint,
     line_through,
     lines_in_plane_through,
+    rref,
 )
 from cubicspan.surface import (
     MONOMIALS,
@@ -24,6 +27,7 @@ from cubicspan.surface import (
     CubicForm,
     GammaType,
     PointKind,
+    SmoothnessReport,
     asymptotic_lines,
     classify_point,
     eckardt_points,
@@ -38,7 +42,7 @@ from cubicspan.surface import (
     zero_points,
 )
 
-from oracles import enumerate_point_tuples
+from oracles import enumerate_point_tuples, groebner_smooth
 
 F5 = make_extension(5, 1)
 F7 = make_extension(7, 1)
@@ -187,7 +191,6 @@ def test_smooth_surfaces():
     assert is_smooth(fermat_cubic(F5))
     report = is_smooth(fermat_cubic(F13))
     assert report.witness is None
-    assert report.line_reinforced
 
 
 def test_singular_witnesses():
@@ -210,14 +213,91 @@ def test_conjugate_singular_pair_found_by_line_reinforcement():
     })
     report = is_smooth(form)
     assert not report
-    assert report.scanned_degrees == (1,)
-    assert report.line_reinforced
     degree, coords = report.witness
     assert degree == 2
     ext = make_extension(13, 2)
     lifted = form.embed(ext)
     assert lifted.evaluate(coords) == 0
     assert lifted.gradient(coords) == (0, 0, 0, 0)
+
+
+def test_conjugate_singular_triple_is_found_without_witness():
+    # the only singular points are a Galois-conjugate triple over F_{13^3}:
+    # no rational point and no rational line carries one
+    form = CubicForm(F13, {
+        (3, 0, 0, 0): 1, (0, 3, 0, 0): 11, (0, 0, 3, 0): 4, (0, 0, 0, 3): 1,
+        (1, 1, 1, 0): 6, (2, 0, 0, 1): 3, (0, 1, 1, 1): 6,
+    })
+    assert is_smooth(form) == SmoothnessReport(False, None)
+    lifted = form.embed(make_extension(13, 3))
+    assert lifted.evaluate((1, 1014, 78, 0)) == 0
+    assert lifted.gradient((1, 1014, 78, 0)) == (0, 0, 0, 0)
+
+
+def test_certificate_needs_the_form_in_characteristic_three():
+    # every partial of x0^3 + x0 x1^2 + x1 x2^2 + x2 x3^2 over F_3 vanishes
+    # at (1, 0, 0, 0), which is off the surface
+    f3 = make_extension(3, 1)
+    form = CubicForm(f3, {(3, 0, 0, 0): 1, (1, 2, 0, 0): 1, (0, 1, 2, 0): 1, (0, 0, 1, 2): 1})
+    assert form.gradient((1, 0, 0, 0)) == (0, 0, 0, 0)
+    assert form.evaluate((1, 0, 0, 0)) == 1
+    assert is_smooth(form) == SmoothnessReport(True, None)
+    assert groebner_smooth(form)
+
+
+def _monomial_value(field, mono, coords):
+    value = 1
+    for x, e in zip(coords, mono):
+        value = field.mul(value, field.pow_(x, e))
+    return value
+
+
+def _form_singular_at(p, degree, rng):
+    """A form over F_p singular at a point whose coordinates generate F_{p^degree}.
+
+    F(P) = 0 and grad F(P) = 0 are linear in the 20 coefficients; each
+    condition over F_{p^degree} splits into degree conditions over F_p, and
+    the form is a seeded nonzero vector of their common kernel.
+    """
+    base, ext = make_extension(p, 1), make_extension(p, degree)
+    coords = (1, p if degree > 1 else rng.randrange(p), rng.randrange(ext.q), rng.randrange(ext.q))
+    conditions = [[_monomial_value(ext, m, coords) for m in MONOMIALS]]
+    for i in range(4):
+        conditions.append([
+            ext.mul(m[i] % p, _monomial_value(ext, m[:i] + (m[i] - 1,) + m[i + 1:], coords))
+            if m[i] else 0
+            for m in MONOMIALS
+        ])
+    mat, pivots = rref(base, [[ext.decode(v)[j] for v in cond] for cond in conditions for j in range(degree)])
+    coeffs = [0] * len(MONOMIALS)
+    while not any(coeffs):
+        for free in (c for c in range(len(MONOMIALS)) if c not in pivots):
+            w = rng.randrange(p)
+            coeffs[free] = (coeffs[free] + w) % p
+            for r, pc in enumerate(pivots):
+                coeffs[pc] = (coeffs[pc] - w * mat[r][free]) % p
+    return CubicForm(base, dict(zip(MONOMIALS, coeffs))), coords
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_certificate_matches_groebner_bases(p):
+    field = make_extension(p, 1)
+    rng = random.Random(p)
+    forms = [random_cubic_form(field, rng) for _ in range(8)]
+    for degree in (1, 2, 3):
+        form, coords = _form_singular_at(p, degree, rng)
+        lifted = form.embed(make_extension(p, degree))
+        assert lifted.evaluate(coords) == 0 and lifted.gradient(coords) == (0, 0, 0, 0)
+        forms.append(form)
+    reports = [is_smooth(form) for form in forms]
+    assert [r.smooth for r in reports] == [groebner_smooth(form) for form in forms]
+    assert {r.smooth for r in reports[:8]} == {True, False}
+    assert not any(r.smooth for r in reports[8:])
+    for form, report in zip(forms, reports):
+        if report.witness is not None:
+            degree, coords = report.witness
+            lifted = form.embed(make_extension(p, degree))
+            assert lifted.evaluate(coords) == 0 and lifted.gradient(coords) == (0, 0, 0, 0)
 
 
 def test_intersect_transverse_line():
@@ -477,8 +557,6 @@ def test_gauss_map_rejects_transverse_line():
 def test_char2_surface_is_smooth():
     report = is_smooth(surface_with_27_lines_over_f64())
     assert report
-    assert report.scanned_degrees == (1, 2, 3, 4, 5, 6)
-    assert report.line_reinforced
 
 
 def test_char2_surface_has_27_lines_over_f64():
