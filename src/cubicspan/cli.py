@@ -237,18 +237,22 @@ def _cmd_reduce(args) -> int:
     n = args.mod if args.mod else FAMILY_MODULUS[family]
     points = point_search(family, args.M, args.height)
     quotient = pic_mod(args.p, n)
+    class_index = {rep: i for i, rep in enumerate(quotient.reps)}
+    # phi and psi depend only on (x, y, z) mod p: reduce each residue once
+    by_residue = {}
     rows = []
     for pt in points:
-        red = reduce_to_curve(pt, args.p)
-        cls = reduction_class(pt, args.p, n)
-        rows.append(
-            {
-                "point": list(pt.coords),
-                "p": args.p,
-                "phi": "bad" if red.bad else list(red.point.coords),
-                "psi_class": quotient.reps.index(cls.rep),
-            }
-        )
+        x, y, z, _ = pt.coords
+        key = (x % args.p, y % args.p, z % args.p)
+        if key not in by_residue:
+            red = reduce_to_curve(pt, args.p)
+            cls = reduction_class(pt, args.p, n)
+            by_residue[key] = (
+                "bad" if red.bad else list(red.point.coords),
+                class_index[cls.rep],
+            )
+        phi, psi = by_residue[key]
+        rows.append({"point": list(pt.coords), "p": args.p, "phi": phi, "psi_class": psi})
     document = {
         "family": family,
         "M": args.M,

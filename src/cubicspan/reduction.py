@@ -22,6 +22,7 @@ integer 4-tuples and p-adic valuations are taken on integers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -77,7 +78,7 @@ def form_value(family: str, m: int, coords: Sequence[int]) -> int:
     return _family_form(family_tag(family), m).evaluate(coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfacePoint:
     """A primitive integer point of S_M or Sprime_M, sign-canonical."""
 
@@ -576,8 +577,12 @@ def point_search(family: str, m: int, height: int) -> list[SurfacePoint]:
     """All primitive points with coordinates bounded by the height.
 
     Meet-in-the-middle on x^3 + y^3: the (z, w) side determines the
-    required cube sum, looked up in a table of all bounded pairs.
-    Output is projectively deduplicated and lexicographically sorted.
+    required cube sum, looked up in a table of all bounded pairs.  On S_M
+    the M term carries a factor z, so the slice z = 0 is exactly the
+    contained line x + y = z = 0; it is written down in closed form,
+    (0, 0, 0, 1) and (a, -a, 0, w) with gcd(a, w) = 1, and the table
+    lookup skips it.  Output is projectively deduplicated and
+    lexicographically sorted.
     """
     family = family_tag(family)
     if height < 1:
@@ -597,6 +602,8 @@ def point_search(family: str, m: int, height: int) -> list[SurfacePoint]:
     seen = set()
     is_s = family == FAMILY_S
     for z in range(-h, h + 1):
+        if is_s and z == 0:
+            continue
         cz = cube[z]
         for w in range(-h, h + 1):
             tail = cz + (m * z * w * w if is_s else m * cube[w])
@@ -613,7 +620,26 @@ def point_search(family: str, m: int, height: int) -> list[SurfacePoint]:
                     if next(v for v in c if v) < 0:
                         c = tuple(-v for v in c)
                     seen.add(c)
-    return [SurfacePoint(family, m, c) for c in sorted(seen)]
+    found = sorted(seen)
+    if not is_s:
+        return [SurfacePoint(family, m, c) for c in found]
+    # The line points with prefix (a, -a, 0) form one contiguous run of
+    # the sorted output; splice each run in where it sorts.  One w list
+    # and one -a per run let the line's points share their ints.
+    ws = list(range(-h, h + 1))
+    out = []
+    start = 0
+    for a in range(h + 1):
+        na = -a
+        cut = bisect_left(found, (a, na, 0), start)
+        out.extend([SurfacePoint(family, m, c) for c in found[start:cut]])
+        start = cut
+        if a == 0:
+            out.append(SurfacePoint(family, m, (0, 0, 0, 1)))
+        else:
+            out.extend([SurfacePoint(family, m, (a, na, 0, w)) for w in ws if gcd(a, w) == 1])
+    out.extend([SurfacePoint(family, m, c) for c in found[start:]])
+    return out
 
 
 @dataclass(frozen=True)
@@ -631,9 +657,23 @@ class ReductionCoverage:
 
 
 def reduction_coverage(points: Iterable[SurfacePoint], p: int) -> ReductionCoverage:
-    """Residue-level shadow of surjectivity onto the curve's points."""
+    """Residue-level shadow of surjectivity onto the curve's points.
+
+    A reduction depends only on the family, M and (x, y, z) mod p, so one
+    point per such key is reduced and later points with that key are
+    skipped.
+    """
+    # p is a modulus in the key before reduce_to_curve gets to check it
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     hit: set[CurvePoint] = set()
+    seen = set()
     for pt in points:
+        x, y, z, _ = pt.coords
+        key = (pt.family, pt.m, x % p, y % p, z % p)
+        if key in seen:
+            continue
+        seen.add(key)
         red = reduce_to_curve(pt, p)
         if red.point is not None:
             hit.add(red.point)
@@ -708,10 +748,18 @@ def rank_lower_bound(
     base_vec: list[int] = []
     for p, q in zip(primes, quotients):
         base_vec.extend(q.coordinates(reduction_class(base, p, n)))
+    # (x, y, z) mod M fixes the residues mod every prime, and a repeated
+    # row cannot change the rank, so each residue triple gives one row
     rows = []
+    seen = set()
     for pt in points:
         if pt.family != family or pt.m != m:
             raise FamilyMismatch(f"{pt} is not a point of {family} with M = {m}")
+        x, y, z, _ = pt.coords
+        key = (x % m, y % m, z % m)
+        if key in seen:
+            continue
+        seen.add(key)
         vec: list[int] = []
         for p, q in zip(primes, quotients):
             vec.extend(q.coordinates(reduction_class(pt, p, n)))
@@ -727,7 +775,7 @@ def rank_lower_bound(
         modulus=n,
         achieved_dim=achieved,
         target_dim=target,
-        points_used=len(rows),
+        points_used=len(points),
     )
 
 

@@ -1,15 +1,31 @@
-"""Brute-force enumerations of P^3 that the tests compare the scans against.
+"""Brute-force enumerations that the tests compare the fast paths against.
 
 Enumeration orders match the package's contract: points run chart by
 chart with the last free coordinate fastest, and lines ascend
-lexicographically by their flattened canonical 2x4 matrix.
+lexicographically by their flattened canonical 2x4 matrix.  The
+reduction oracles search every (z, w) slice and reduce every point, with
+no residue deduplication.
 """
 
 import heapq
+from math import gcd
 from typing import Iterator
 
-from cubicspan.field import ExtField
-from cubicspan.projgeo import Line3
+from cubicspan.field import ExtField, make_extension
+from cubicspan.planecubic import curve_points
+from cubicspan.projgeo import Line3, rank
+from cubicspan.reduction import (
+    FAMILY_MODULUS,
+    FAMILY_S,
+    RankBoundReport,
+    ReductionCoverage,
+    SurfacePoint,
+    base_surface_point,
+    family_tag,
+    rank_bound_m,
+    reduce_to_curve,
+    reduction_class,
+)
 
 
 def enumerate_point_tuples(field: ExtField) -> Iterator[tuple[int, ...]]:
@@ -111,3 +127,69 @@ def groebner_smooth(form) -> bool:
         if list(basis.exprs) != [1]:
             return False
     return True
+
+
+def full_point_search(family: str, m: int, height: int) -> list[SurfacePoint]:
+    """Meet-in-the-middle over every (z, w), the slice z = 0 included."""
+    family = family_tag(family)
+    h = height
+    cube = {i: i ** 3 for i in range(-h, h + 1)}
+    pair_sums: dict[int, list[tuple[int, int]]] = {}
+    for x in range(-h, h + 1):
+        for y in range(x, h + 1):
+            pair_sums.setdefault(cube[x] + cube[y], []).append((x, y))
+    bound = 2 * h ** 3
+    seen = set()
+    is_s = family == FAMILY_S
+    for z in range(-h, h + 1):
+        for w in range(-h, h + 1):
+            k = -(cube[z] + (m * z * w * w if is_s else m * cube[w]))
+            if k < -bound or k > bound:
+                continue
+            for x, y in pair_sums.get(k, ()):
+                for c in ((x, y, z, w), (y, x, z, w)):
+                    if not any(c) or gcd(gcd(c[0], c[1]), gcd(c[2], c[3])) != 1:
+                        continue
+                    if next(v for v in c if v) < 0:
+                        c = tuple(-v for v in c)
+                    seen.add(c)
+    return [SurfacePoint(family, m, c) for c in sorted(seen)]
+
+
+def per_point_coverage(points, p: int) -> ReductionCoverage:
+    """Curve coverage with every point reduced."""
+    hit = set()
+    for pt in points:
+        red = reduce_to_curve(pt, p)
+        if red.point is not None:
+            hit.add(red.point)
+    everything = curve_points(p)
+    missed = tuple(a for a in everything if a not in hit)
+    return ReductionCoverage(p=p, hit=len(hit), total=len(everything), missed=missed)
+
+
+def per_point_rank_bound(family: str, primes, points) -> RankBoundReport:
+    """The rank bound with one row per point; no hypothesis checks."""
+    family = family_tag(family)
+    n = FAMILY_MODULUS[family]
+    primes = tuple(primes)
+    m = rank_bound_m(family, primes)
+
+    def classes(pt):
+        return [reduction_class(pt, p, n) for p in primes]
+
+    base = classes(base_surface_point(family, m))
+    base_vec = [c for cls in base for c in cls.quotient.coordinates(cls)]
+    rows = []
+    for pt in points:
+        vec = [c for cls in classes(pt) for c in cls.quotient.coordinates(cls)]
+        rows.append([(a - b) % n for a, b in zip(vec, base_vec)])
+    return RankBoundReport(
+        family=family,
+        m=m,
+        primes=primes,
+        modulus=n,
+        achieved_dim=rank(make_extension(n, 1), rows),
+        target_dim=sum(cls.quotient.dim for cls in base),
+        points_used=len(rows),
+    )

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -175,6 +176,20 @@ def test_reduce_rejects_non_dividing_prime(capsys):
         ["reduce", "--family", "S_M", "--M", "31", "--p", "7", "--height", "5"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "family,m,digest",
+    [
+        ("S_M", 31, "c977f93a621deaca8042b8180d89b2e59a63b11ffd103a187f8f06f5a2e04e21"),
+        ("Sprime_M", 93, "f589a9501f657318ba58af6420da31f03379a9cd8ed7cb2dbd46f065d011d7a2"),
+    ],
+)
+def test_reduce_document_is_pinned(capsys, family, m, digest):
+    # SHA-256 of the stdout recorded before reductions were shared per residue
+    argv = ["reduce", "--family", family, "--M", str(m), "--p", "31", "--height", "60", "--json"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_rank_bound_document(capsys):

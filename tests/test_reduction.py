@@ -42,6 +42,7 @@ from cubicspan.reduction import (
     surface_point,
     verify_line_relation,
 )
+from oracles import full_point_search, per_point_coverage, per_point_rank_bound
 
 
 @pytest.fixture(scope="module")
@@ -475,6 +476,76 @@ def test_rank_bound_checks_m_against_its_convention(pts31, pts93):
     # a point of another surface is still refused point by point
     with pytest.raises(FamilyMismatch):
         rank_lower_bound(FAMILY_SPRIME, [31], pts31, m=93)
+
+
+# -- residue deduplication against the per-point oracles ----------------
+
+
+@pytest.mark.parametrize(
+    "family,m,height",
+    [(FAMILY_S, 31, h) for h in (1, 2, 3, 17, 120)]
+    + [(FAMILY_S, 1333, 40), (FAMILY_SPRIME, 93, 40)],
+)
+def test_point_search_matches_the_full_search(family, m, height):
+    assert point_search(family, m, height) == full_point_search(family, m, height)
+
+
+def test_contained_line_points_share_their_ints():
+    pts = point_search(FAMILY_S, 31, 300)
+    line = [pt for pt in pts if pt.coords[2] == 0]
+    assert len(line) > 9 * len(pts) // 10
+    assert len({id(pt.coords[3]) for pt in line}) <= 601
+    assert not hasattr(line[0], "__dict__")
+
+
+def test_dedup_matches_per_point_at_height_200():
+    pts = point_search(FAMILY_S, 31, 200)
+    assert len(pts) == 49610
+    assert reduction_coverage(pts, 31) == per_point_coverage(pts, 31)
+    rep = rank_lower_bound(FAMILY_S, [31], pts)
+    assert rep == per_point_rank_bound(FAMILY_S, [31], pts)
+    assert (rep.achieved_dim, rep.target_dim, rep.points_used) == (2, 2, 49610)
+
+
+def test_dedup_matches_per_point_on_two_primes():
+    pts = point_search(FAMILY_S, 1333, 150)
+    for p, hit in ((31, 20), (43, 17)):
+        cov = reduction_coverage(pts, p)
+        assert cov == per_point_coverage(pts, p)
+        assert cov.hit == hit
+    rep = rank_lower_bound(FAMILY_S, [31, 43], pts)
+    assert rep == per_point_rank_bound(FAMILY_S, [31, 43], pts)
+    assert (rep.achieved_dim, rep.target_dim) == (4, 4)
+
+    pts = point_search(FAMILY_SPRIME, 3999, 60)
+    rep = rank_lower_bound(FAMILY_SPRIME, [31, 43], pts)
+    assert rep == per_point_rank_bound(FAMILY_SPRIME, [31, 43], pts)
+    assert (rep.achieved_dim, rep.target_dim) == (3, 4)
+
+
+def test_rank_bound_checks_every_point_and_counts_duplicates(pts31):
+    base = base_surface_point(FAMILY_S, 31)
+    # same (x, y, z) residues as base, on another surface
+    for foreign in (surface_point(FAMILY_S, 62, (1, -1, 0, 0)),
+                    surface_point(FAMILY_SPRIME, 31, (1, -1, 0, 0))):
+        with pytest.raises(FamilyMismatch):
+            rank_lower_bound(FAMILY_S, [31], [base, foreign])
+    rep = rank_lower_bound(FAMILY_S, [31], pts31 + pts31)
+    assert rep.points_used == 2 * len(pts31)
+    assert rep.achieved_dim == 2
+
+
+def test_coverage_errors_fire_on_repeated_residues():
+    # M = 31^3 is not squarefree at 31, and both points reduce to the vertex
+    m = 31 ** 3
+    good = surface_point(FAMILY_SPRIME, m, (1, -1, 0, 0))
+    vertex = [surface_point(FAMILY_SPRIME, m, c) for c in ((31, 0, 0, -1), (31, -31, 31, -1))]
+    with pytest.raises(BadPrime, match="not squarefree at 31"):
+        reduction_coverage([good] + vertex, 31)
+    with pytest.raises(BadPrime, match="not squarefree at 31"):
+        reduction_coverage([good, vertex[0], vertex[0]], 31)
+    with pytest.raises(NotPrime):
+        reduction_coverage([good], 0)
 
 
 def test_del_pezzo_smallest_prime():
