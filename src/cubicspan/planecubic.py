@@ -2,21 +2,27 @@
 
 The chord-tangent construction with base flex O = (1 : -1 : 0) makes the
 rational points an abelian group, and P -> [P - O] identifies that group
-with Pic0 of the curve.  Everything here is exhaustive: point lists by
-scan, element orders by repeated addition, quotients Pic0/2 and Pic0/3 by
-enumerating the subgroup of multiples.  The sizes involved (p up to a few
-hundred) never justify anything faster.
+with Pic0 of the curve.  One closed form gives the third point on a line:
 
-The Weierstrass model y^2 + y = x^3 - 7 of the same curve is kept as a
-consistency check only: its point count and group shape are computed
-independently and compared, with no coordinate map between the models.
+- the chord through a != b meets the curve again at c2*a - c1*b, where
+  c1 = sum a_i^2 b_i and c2 = sum b_i^2 a_i (the cubic restricted to
+  s*a + t*b is 3st(c1*s + c2*t); the factor 3 drops out projectively);
+- the tangent at a = (x : y : z) meets it again at the tangential point
+  (x(y^3 - z^3) : y(z^3 - x^3) : z(x^3 - y^3)), which is never the zero
+  vector when p != 3.
+
+Every CurvePoint is valid by construction: p is a prime other than 3,
+the coordinates lie in [0, p) with leading nonzero coordinate 1, and they
+satisfy the equation.  curve_point reduces and normalizes outside input.
+Point lists come from a scan, element orders from repeated addition, and
+the quotients Pic0/2 and Pic0/3 from the subgroup of multiples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import BadPrime, CharacteristicThree, HypothesisFailed, NotPrime
@@ -26,14 +32,7 @@ from .field import is_prime
 BASE_FLEX = (1, -1, 0)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """A point of the cubic, normalized to leading coordinate 1."""
-
-    p: int
-    coords: tuple[int, int, int]
-
-
+@lru_cache(maxsize=None)
 def _check_prime(p: int) -> None:
     if p == 3:
         raise CharacteristicThree("the curve x^3+y^3+z^3 is singular mod 3")
@@ -41,19 +40,42 @@ def _check_prime(p: int) -> None:
         raise NotPrime(f"{p} is not prime")
 
 
+@dataclass(frozen=True)
+class CurvePoint:
+    """A curve point, valid by construction (see the module docstring)."""
+
+    p: int
+    coords: tuple[int, int, int]
+
+    def __post_init__(self) -> None:
+        p = self.p
+        _check_prime(p)
+        x, y, z = self.coords
+        if not (0 <= x < p and 0 <= y < p and 0 <= z < p) or (x or y or z) != 1:
+            raise ValueError(f"{self.coords} is not normalized mod {p}")
+        if (x * x * x + y * y * y + z * z * z) % p:
+            raise ValueError(f"{self.coords} does not lie on the curve mod {p}")
+
+
+def _normalized(p: int, c: tuple[int, int, int]) -> CurvePoint:
+    """The point with reduced, not all zero, coordinates c."""
+    lead = c[0] or c[1] or c[2]
+    if lead != 1:
+        inv = pow(lead, -1, p)
+        c = (c[0] * inv % p, c[1] * inv % p, c[2] * inv % p)
+    return CurvePoint(p, c)
+
+
 def curve_point(p: int, coords: Iterable[int]) -> CurvePoint:
-    """Validate and normalize homogeneous coordinates of a curve point."""
+    """Reduce and normalize homogeneous coordinates of a curve point."""
     _check_prime(p)
     c = tuple(x % p for x in coords)
     if len(c) != 3 or not any(c):
         raise ValueError("expected three coordinates, not all zero")
-    if sum(x ** 3 for x in c) % p:
-        raise ValueError(f"{c} does not lie on the curve mod {p}")
-    lead = next(x for x in c if x)
-    inv = pow(lead, -1, p)
-    return CurvePoint(p, tuple((x * inv) % p for x in c))
+    return _normalized(p, c)
 
 
+@lru_cache(maxsize=None)
 def base_point(p: int) -> CurvePoint:
     """The flex O = (1 : -1 : 0)."""
     return curve_point(p, BASE_FLEX)
@@ -76,47 +98,22 @@ def curve_points(p: int) -> tuple[CurvePoint, ...]:
     return tuple(out)
 
 
-def _third_distinct(a: CurvePoint, b: CurvePoint) -> CurvePoint:
-    p = a.p
-    u, v = a.coords, b.coords
-    c1 = sum(3 * x * x * y for x, y in zip(u, v)) % p
-    c2 = sum(3 * y * y * x for x, y in zip(u, v)) % p
-    coords = tuple((c2 * x - c1 * y) % p for x, y in zip(u, v))
-    return curve_point(p, coords)
-
-
-def _tangent_second_point(a: CurvePoint) -> tuple[int, int, int]:
-    """A point other than a itself on the tangent line at a."""
-    p = a.p
-    n = tuple(3 * x * x % p for x in a.coords)
-    j0 = next(i for i, x in enumerate(n) if x)
-    basis = []
-    for m in range(3):
-        if m == j0:
-            continue
-        vec = [0, 0, 0]
-        vec[m] = 1
-        vec[j0] = (-n[m] * pow(n[j0], -1, p)) % p
-        basis.append(tuple(vec))
-    pc = [a.coords[m] for m in range(3) if m != j0]
-    m0 = next(i for i, x in enumerate(pc) if x)
-    return basis[1 - m0]
-
-
 def third_point(a: CurvePoint, b: CurvePoint) -> CurvePoint:
     """The residual intersection of the line through a and b (tangent when
     a = b) with the curve."""
-    if a.p != b.p:
-        raise ValueError("points live over different primes")
-    if a != b:
-        return _third_distinct(a, b)
     p = a.p
-    u = a.coords
-    w = _tangent_second_point(a)
-    c2 = sum(3 * x * x * y for x, y in zip(w, u)) % p
-    c3 = sum(x ** 3 for x in w) % p
-    coords = tuple((c3 * x - c2 * y) % p for x, y in zip(u, w))
-    return curve_point(p, coords)
+    if b.p != p:
+        raise ValueError("points live over different primes")
+    x1, y1, z1 = a.coords
+    if a.coords == b.coords:
+        u, v, w = x1 * x1 * x1, y1 * y1 * y1, z1 * z1 * z1
+        return _normalized(p, (x1 * (v - w) % p, y1 * (w - u) % p, z1 * (u - v) % p))
+    x2, y2, z2 = b.coords
+    c1 = x1 * x1 * x2 + y1 * y1 * y2 + z1 * z1 * z2
+    c2 = x2 * x2 * x1 + y2 * y2 * y1 + z2 * z2 * z1
+    return _normalized(
+        p, ((c2 * x1 - c1 * x2) % p, (c2 * y1 - c1 * y2) % p, (c2 * z1 - c1 * z2) % p)
+    )
 
 
 def group_add(a: CurvePoint, b: CurvePoint) -> CurvePoint:
@@ -151,15 +148,6 @@ def point_order(a: CurvePoint) -> int:
     return k
 
 
-def flexes(p: int) -> list[CurvePoint]:
-    """Points whose tangent meets the curve triply there."""
-    return [a for a in curve_points(p) if third_point(a, a) == a]
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 @lru_cache(maxsize=None)
 def group_structure(p: int) -> tuple[int, ...]:
     """Invariant factors of C(F_p), by exhaustive order computation.
@@ -172,9 +160,7 @@ def group_structure(p: int) -> tuple[int, ...]:
     pts = curve_points(p)
     n = len(pts)
     orders = [point_order(a) for a in pts]
-    exponent = 1
-    for k in orders:
-        exponent = _lcm(exponent, k)
+    exponent = lcm(*orders)
     if n % exponent:
         raise AssertionError("exponent does not divide the group order")
     d1 = n // exponent
@@ -186,62 +172,6 @@ def group_structure(p: int) -> tuple[int, ...]:
         torsion = sum(1 for k in orders if d % k == 0)
         if torsion != gcd(d, d1) * gcd(d, exponent):
             raise AssertionError(f"{d}-torsion count does not match the shape")
-    return (exponent,) if d1 == 1 else (d1, exponent)
-
-
-def weierstrass_model_agrees(p: int) -> bool:
-    """Whether y^2 + y = x^3 - 7 has the same count and shape over F_p.
-
-    A model comparison without a coordinate map; only meaningful away
-    from 2 and 3.
-    """
-    if p in (2, 3):
-        raise BadPrime("the Weierstrass comparison needs p coprime to 6")
-    _check_prime(p)
-    count = 1  # the point at infinity
-    pts = []
-    for x in range(p):
-        rhs = (x ** 3 - 7) % p
-        for y in range(p):
-            if (y * y + y) % p == rhs:
-                count += 1
-                pts.append((x, y))
-    if count != len(curve_points(p)):
-        return False
-    return _weierstrass_structure(p, pts) == group_structure(p)
-
-
-def _w_add(p, a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    x1, y1 = a
-    x2, y2 = b
-    if x1 == x2 and (y1 + y2 + 1) % p == 0:
-        return None
-    if a == b:
-        lam = 3 * x1 * x1 * pow(2 * y1 + 1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    y3 = (-(lam * (x3 - x1) + y1) - 1) % p
-    return (x3, y3)
-
-
-def _weierstrass_structure(p, pts) -> tuple[int, ...]:
-    n = len(pts) + 1
-    exponent = 1
-    orders = []
-    for a in pts:
-        acc = a
-        k = 1
-        while acc is not None:
-            acc = _w_add(p, acc, a)
-            k += 1
-        orders.append(k)
-        exponent = _lcm(exponent, k)
-    d1 = n // exponent
     return (exponent,) if d1 == 1 else (d1, exponent)
 
 

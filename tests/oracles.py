@@ -4,15 +4,24 @@ Enumeration orders match the package's contract: points run chart by
 chart with the last free coordinate fastest, and lines ascend
 lexicographically by their flattened canonical 2x4 matrix.  The
 reduction oracles search every (z, w) slice and reduce every point, with
-no residue deduplication.
+no residue deduplication.  The plane-cubic oracles find third points by
+the pencil of each line and group shapes on an independent Weierstrass
+model.
 """
 
 import heapq
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator
 
+from cubicspan.errors import BadPrime
 from cubicspan.field import ExtField, make_extension
-from cubicspan.planecubic import curve_points
+from cubicspan.planecubic import (
+    CurvePoint,
+    curve_point,
+    curve_points,
+    group_structure,
+    third_point,
+)
 from cubicspan.projgeo import Line3, rank
 from cubicspan.reduction import (
     FAMILY_MODULUS,
@@ -193,3 +202,100 @@ def per_point_rank_bound(family: str, primes, points) -> RankBoundReport:
         target_dim=sum(cls.quotient.dim for cls in base),
         points_used=len(rows),
     )
+
+
+def _tangent_second_point(a: CurvePoint) -> tuple[int, int, int]:
+    """A point other than a itself on the tangent line at a."""
+    p = a.p
+    n = tuple(3 * x * x % p for x in a.coords)
+    j0 = next(i for i, x in enumerate(n) if x)
+    basis = []
+    for m in range(3):
+        if m == j0:
+            continue
+        vec = [0, 0, 0]
+        vec[m] = 1
+        vec[j0] = (-n[m] * pow(n[j0], -1, p)) % p
+        basis.append(tuple(vec))
+    pc = [a.coords[m] for m in range(3) if m != j0]
+    m0 = next(i for i, x in enumerate(pc) if x)
+    return basis[1 - m0]
+
+
+def pencil_third_point(a: CurvePoint, b: CurvePoint) -> CurvePoint:
+    """The third point on the line through a and b, found in its pencil.
+
+    A chord is the pencil s*a + t*b and a tangent the pencil through a
+    and a second point w of the tangent line; the cubic restricted to the
+    pencil gives the residual root, validated through curve_point.
+    """
+    p = a.p
+    u = a.coords
+    if a != b:
+        v = b.coords
+        c1 = sum(3 * x * x * y for x, y in zip(u, v)) % p
+        c2 = sum(3 * y * y * x for x, y in zip(u, v)) % p
+        return curve_point(p, tuple((c2 * x - c1 * y) % p for x, y in zip(u, v)))
+    w = _tangent_second_point(a)
+    c2 = sum(3 * x * x * y for x, y in zip(w, u)) % p
+    c3 = sum(x ** 3 for x in w) % p
+    return curve_point(p, tuple((c3 * x - c2 * y) % p for x, y in zip(u, w)))
+
+
+def flexes(p: int) -> list[CurvePoint]:
+    """Points whose tangent meets the curve triply there."""
+    return [a for a in curve_points(p) if third_point(a, a) == a]
+
+
+def weierstrass_model_agrees(p: int) -> bool:
+    """Whether y^2 + y = x^3 - 7 has the same count and shape over F_p.
+
+    A model comparison without a coordinate map; only meaningful away
+    from 2 and 3.
+    """
+    if p in (2, 3):
+        raise BadPrime("the Weierstrass comparison needs p coprime to 6")
+    expected = len(curve_points(p))  # rejects p that is not prime
+    count = 1  # the point at infinity
+    pts = []
+    for x in range(p):
+        rhs = (x ** 3 - 7) % p
+        for y in range(p):
+            if (y * y + y) % p == rhs:
+                count += 1
+                pts.append((x, y))
+    if count != expected:
+        return False
+    return _weierstrass_structure(p, pts) == group_structure(p)
+
+
+def _w_add(p, a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    x1, y1 = a
+    x2, y2 = b
+    if x1 == x2 and (y1 + y2 + 1) % p == 0:
+        return None
+    if a == b:
+        lam = 3 * x1 * x1 * pow(2 * y1 + 1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    y3 = (-(lam * (x3 - x1) + y1) - 1) % p
+    return (x3, y3)
+
+
+def _weierstrass_structure(p, pts) -> tuple[int, ...]:
+    n = len(pts) + 1
+    exponent = 1
+    for a in pts:
+        acc = a
+        k = 1
+        while acc is not None:
+            acc = _w_add(p, acc, a)
+            k += 1
+        exponent = lcm(exponent, k)
+    d1 = n // exponent
+    return (exponent,) if d1 == 1 else (d1, exponent)

@@ -294,8 +294,13 @@ def test_criterion_8_reduction_coverage_and_rank_at_height_500():
         for q in curve_points(31)
         if q not in missed
     }
-    image = set()
+    # a reduction depends only on (x, y, z) mod 31: reduce one point per residue
+    residues = {}
     for pt in points:
+        x, y, z, _ = pt.coords
+        residues.setdefault((x % 31, y % 31, z % 31), pt)
+    image = set()
+    for pt in residues.values():
         reduced = reduce_to_curve(pt, 31)
         if reduced.point is not None:
             image.add(quotient.coordinates(quotient.class_of(reduced.point)))

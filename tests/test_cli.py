@@ -139,6 +139,23 @@ def test_pic_rejects_bad_hypothesis(capsys):
     code = main(["pic", "--p", "5", "--mod", "3"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    # 2 is not a cube mod 193
+    assert main(["pic", "--p", "193", "--mod", "2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "p,n,digest",
+    [
+        (193, 3, "5dbac2279143a64ee355b65a58b463816f8a8d1ea02c0dc55ae94ff1d102b6b8"),
+        (157, 2, "841066c1cdb19af8d061eb5f5b4cd455a08c8c6b49a50c6501d058cd4463d5e3"),
+    ],
+)
+def test_pic_document_is_pinned(capsys, p, n, digest):
+    # SHA-256 of the stdout recorded with third points computed by the
+    # pencil construction; 157 is the largest p < 200 with 2 a cube
+    assert main(["pic", "--p", str(p), "--mod", str(n), "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # -- reduction commands -------------------------------------------------

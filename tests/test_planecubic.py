@@ -1,15 +1,18 @@
 """Tests for the plane cubic group law and its small quotients."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicspan.errors import BadPrime, CharacteristicThree, HypothesisFailed, NotPrime
+from cubicspan.field import is_prime
 from cubicspan.planecubic import (
+    CurvePoint,
     base_point,
     curve_point,
     curve_points,
-    flexes,
     group_add,
     group_mul,
     group_neg,
@@ -20,8 +23,8 @@ from cubicspan.planecubic import (
     prime_condition,
     third_point,
     two_division_check,
-    weierstrass_model_agrees,
 )
+from oracles import flexes, pencil_third_point, weierstrass_model_agrees
 
 SMALL_PRIMES = [2, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -69,6 +72,23 @@ def test_point_validation():
         curve_point(7, (1, 6))
 
 
+def test_invalid_points_cannot_be_built():
+    # off the curve, not normalized, over a bad modulus, out of range, zero
+    with pytest.raises(ValueError):
+        CurvePoint(7, (1, 1, 1))
+    with pytest.raises(ValueError):
+        CurvePoint(7, (2, 12, 0))
+    with pytest.raises(NotPrime):
+        CurvePoint(9, (1, 2, 0))
+    with pytest.raises(CharacteristicThree):
+        CurvePoint(3, (1, 2, 0))
+    with pytest.raises(ValueError):
+        CurvePoint(7, (1, 6, 7))
+    with pytest.raises(ValueError):
+        CurvePoint(7, (0, 0, 0))
+    assert CurvePoint(7, (1, 6, 0)) == base_point(7)
+
+
 def test_point_normalization():
     assert curve_point(7, (2, 12, 0)) == base_point(7)
     assert curve_point(7, (0, 4, -4)).coords == (0, 1, 6)
@@ -101,6 +121,54 @@ def test_third_point_symmetric(p):
     for a in pts:
         for b in pts:
             assert third_point(a, b) == third_point(b, a)
+
+
+def _primes(lo, hi):
+    return [p for p in range(lo, hi) if p != 3 and is_prime(p)]
+
+
+@pytest.mark.parametrize("p", _primes(2, 62))
+def test_chords_match_the_pencil_oracle(p):
+    pts = curve_points(p)
+    for a in pts:
+        for b in pts:
+            assert third_point(a, b) == pencil_third_point(a, b)
+
+
+def test_tangents_match_the_pencil_oracle():
+    for p in _primes(2, 400):
+        for a in curve_points(p):
+            assert third_point(a, a) == pencil_third_point(a, a)
+
+
+def _digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_group_structures_to_199_are_pinned():
+    # SHA-256 of [(p, group_structure(p)) for prime 5 <= p <= 199], recorded
+    # with third points computed by the pencil construction
+    shapes = [(p, group_structure(p)) for p in _primes(5, 200)]
+    assert _digest(shapes) == "969d66a2d227afb07533281bfc3358f7f5c9ad4dc7047d84da1796df9678195d"
+
+
+def test_pic_tables_to_199_are_pinned():
+    # reps and the coordinates of every point's class in Pic0/3, and in
+    # Pic0/2 where 2 is a cube, for p = 1 mod 3; recorded as above
+    rows = []
+    for p in _primes(7, 200):
+        if p % 3 != 1:
+            continue
+        for n in (3, 2) if is_cube(p, 2) else (3,):
+            quotient = pic_mod(p, n)
+            rows.append((
+                p,
+                n,
+                [rep.coords for rep in quotient.reps],
+                [quotient.coordinates(quotient.class_of(pt)) for pt in curve_points(p)],
+            ))
+    assert len(rows) == 26
+    assert _digest(rows) == "7e9057e5ecdd2ec9c2d7b8a47455138c86e4678a8d6c08ad99c2e369fac1e136"
 
 
 @pytest.mark.parametrize("p", [2, 5, 7, 13])
