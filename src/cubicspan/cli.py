@@ -12,11 +12,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from .errors import CubicspanError
 from .field import make_extension
-from .harness import ExperimentConfig, SUITE_NAMES, random_smooth_surface, run_suite
+from .harness import (
+    SUITE_NAMES,
+    SURFACE_CHOICES,
+    ExperimentConfig,
+    random_smooth_surface,
+    run_suite,
+)
 from .hsgroup import hs_structure
 from .planecubic import pic_mod
 from .projgeo import ProjPoint, skew
@@ -63,6 +70,27 @@ def _add_surface_args(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--M", type=int, default=31, help="family coefficient M")
     sub.add_argument("--seed", type=int, default=1, help="seed for --random")
+
+
+#: verify flags whose spelling is not the config field name
+_CONFIG_FLAGS = {"m": "--M", "checks": "--check"}
+
+
+def _add_config_args(sub: argparse.ArgumentParser) -> None:
+    """One option per ExperimentConfig field, defaulting to the field's default."""
+    for f in fields(ExperimentConfig):
+        flag = _CONFIG_FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
+        if f.name == "checks":
+            # argparse copies a list default before appending to it
+            sub.add_argument(
+                flag, dest=f.name, action="append", default=[],
+                help="restrict to this check (repeatable)",
+            )
+        else:
+            sub.add_argument(
+                flag, dest=f.name, type=type(f.default), default=f.default,
+                choices=SURFACE_CHOICES if f.name == "surface" else None,
+            )
 
 
 def _surface_from_args(args) -> CubicForm:
@@ -317,16 +345,7 @@ def _cmd_rank_bound(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = ExperimentConfig(
-        seed=args.seed,
-        p=args.p,
-        k=args.k,
-        surface=args.surface,
-        family=family_tag(args.family),
-        m=args.M,
-        height=args.height,
-        pair_cap=args.pair_cap,
-        pic_limit=args.pic_limit,
-        checks=tuple(args.check or ()),
+        **{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     )
     report = run_suite(args.suite, config, out=args.out)
     document = report.to_dict()
@@ -450,16 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("verify", help="run a verification suite")
     sub.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    sub.add_argument("--seed", type=int, default=1)
-    sub.add_argument("--p", type=int, default=13)
-    sub.add_argument("--k", type=int, default=1)
-    sub.add_argument("--surface", default="fermat")
-    sub.add_argument("--family", default="S_M")
-    sub.add_argument("--M", type=int, default=31)
-    sub.add_argument("--height", type=int, default=10)
-    sub.add_argument("--pair-cap", type=int, default=40)
-    sub.add_argument("--pic-limit", type=int, default=31)
-    sub.add_argument("--check", action="append", help="restrict to this check (repeatable)")
+    _add_config_args(sub)
     sub.add_argument("--out", help="write the report to this path")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_verify)

@@ -669,13 +669,5 @@ def univariate_gcd(field: ExtField, a: Sequence[int], b: Sequence[int]) -> list[
     return a
 
 
-def cube_roots_of_unity(field: ExtField) -> list[int]:
-    """All cube roots of unity in the field, sorted by code."""
-    if field.q % 3 != 1:
-        return [1]
-    roots = solve_quadratic(field, 1, 1, 1)
-    return sorted([1] + [r for r, _ in roots])
-
-
 def _code(field: ExtField, x) -> int:
     return x % field.p if field.k == 1 else int(x)

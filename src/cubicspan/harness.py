@@ -44,7 +44,7 @@ from .errors import (
     NoTernaryPoint,
 )
 from .field import ExtField, factorize, is_prime, make_extension
-from .hsgroup import hs_structure, ternary_bound_check
+from .hsgroup import ZPresentation, ternary_bound_check
 from .planecubic import is_cube, pic_mod, two_division_check
 from .projgeo import planes_through_line, skew
 from .reduction import (
@@ -390,19 +390,18 @@ def _span_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
 def _hs_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
     state: dict = {}
 
-    def structure():
-        if "structure" not in state:
-            state["form"] = surface_for_config(config)
-            state["table"] = SpanTable(state["form"])
-            state["lines"] = lines_on_surface(state["form"])
-            state["structure"] = hs_structure(
-                state["form"], table=state["table"], lines=state["lines"]
+    def presentation():
+        if "presentation" not in state:
+            form = surface_for_config(config)
+            state["presentation"] = ZPresentation(
+                form, table=SpanTable(form), lines=lines_on_surface(form)
             )
-        return state["structure"]
+        return state["presentation"]
 
     def check_torsion():
-        st = structure()
-        if not state["lines"]:
+        pres = presentation()
+        st = pres.structure
+        if not pres.lines:
             return "skip", {}, "the surface has no rational line"
         detail = {
             "h0_free_rank": st.h0_free_rank,
@@ -411,9 +410,7 @@ def _hs_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
         if not st.h0_order_divides_two:
             return "fail", detail, None
         has_skew = any(
-            skew(a, b)
-            for i, a in enumerate(state["lines"])
-            for b in state["lines"][i + 1 :]
+            skew(a, b) for i, a in enumerate(pres.lines) for b in pres.lines[i + 1 :]
         )
         detail["skew_pair"] = has_skew
         if has_skew and not st.h0_trivial:
@@ -421,9 +418,9 @@ def _hs_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
         return "pass", detail, None
 
     def check_bound():
-        structure()
+        pres = presentation()
         try:
-            report = ternary_bound_check(state["form"], table=state["table"])
+            report = ternary_bound_check(pres.form, presentation=pres)
         except NoTernaryPoint as missing:
             return "skip", {}, str(missing)
         detail = {
@@ -512,7 +509,7 @@ def _pic_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
 # -- the reduction suite ------------------------------------------------
 
 
-def _reduction_primes(family: str, m: int) -> list[int]:
+def _reduction_primes(m: int) -> list[int]:
     """The prime divisors of M other than 3, ascending."""
     return [p for p, _ in factorize(m) if p != 3]
 
@@ -530,7 +527,7 @@ def _reduction_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
     def check_relations():
         pts = points()[: config.pair_cap]
         n = FAMILY_MODULUS[family]
-        primes = _reduction_primes(family, m)
+        primes = _reduction_primes(m)
         checked = 0
         skipped = 0
         branches = {"transverse": 0, "contained": 0}
@@ -573,7 +570,7 @@ def _reduction_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
         return "pass", detail, None
 
     def check_rank_bound():
-        primes = _reduction_primes(family, m)
+        primes = _reduction_primes(m)
         pts = points()
         try:
             report = rank_lower_bound(family, primes, pts, m=m)
@@ -591,7 +588,7 @@ def _reduction_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
         return "pass", detail, None
 
     def check_coverage():
-        primes = _reduction_primes(family, m)
+        primes = _reduction_primes(m)
         per_prime = {}
         empty = []
         for p in primes:

@@ -10,18 +10,30 @@ base sum.  H = G/G'' and its degree-0 part H0 are what this module
 presents, together with Smith normal form data for canonical coset
 representatives.
 
-The raw presentation is large (tens of thousands of rows on a few hundred
-points by q = 13) but collapses: points sharing a contained line fall
-into one class, as do all tangent third points of a fixed point.  The
-quotient by those identifications is exact, since each identification is
-itself a difference of two generating sums, so the group is computed from
-a matrix over the handful of surviving classes.
+The raw presentation is large (tens of thousands of sums on a few
+hundred points by q = 13) but collapses: points sharing a contained line
+fall into one class, as do all tangent third points of a fixed point.
+The quotient by those identifications is exact, since each identification
+is itself a difference of two generating sums, so the classes are merged
+first and the group is computed in class space.  Each distinct sum is
+visited once: two distinct points fix their line, so a sum with two
+distinct points is read off one pair of the secant table (a secant from
+its smallest pair, 2P + Q from the pair (P, Q)) or off one contained
+line, and 3P is taken once per point.  A sum is kept only as its image,
+the sorted triple of class columns it maps to, and the relation matrix
+has one row per distinct image after the first, so its size follows the
+class count rather than the number of sums.
+
+Generation of H0 by differences [P - P0] is read off a triangular
+lattice basis; Smith normal form is computed only for the canonical
+coset representatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -36,45 +48,6 @@ from .surface import CubicForm, classify_point, lines_on_surface
 
 def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimensions differ")
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] += x * y
-        out.append(acc)
-    return out
-
-
-def _bareiss_det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 class _SnfWorkspace:
@@ -302,11 +275,12 @@ class GroupStructure:
 class ZPresentation:
     """H as an explicit quotient, with SNF data for canonical cosets.
 
-    Generating sums are collected once as sorted point-index triples
-    (the same sum reached along different lines counts once).  Points are
-    then merged into classes, the relation matrix is rewritten over the
-    classes, reduced to a triangular lattice basis, and put in Smith
-    normal form with invertible transforms.
+    Points are merged into classes first (points of a contained line, and
+    the tangent third points of each point).  One pass over the generating
+    sums then counts them, each distinct sum once, and records the sorted
+    triple of class columns each one maps to.  The relation matrix is
+    built from those class-space images, reduced to a triangular lattice
+    basis, and put in Smith normal form with invertible transforms.
     """
 
     def __init__(
@@ -326,34 +300,15 @@ class ZPresentation:
         n = len(self.points)
         if n == 0:
             raise NoRationalPoints("the surface has no rational point")
-
-        sums: set[tuple[int, int, int]] = set()
-        pair = table.pair_third
-        for i in range(n):
-            base = i * n
-            for j in range(i + 1, n):
-                k = pair[base + j]
-                if k >= 0:
-                    sums.add(tuple(sorted((i, j, k))))
-            for k in table.tangent_thirds[i]:
-                sums.add(tuple(sorted((i, i, k))))
-        line_indices = []
-        for line in lines:
-            idx = sorted(table.index[p.coords] for p in line.points())
-            line_indices.append(idx)
-            m = len(idx)
-            for a in range(m):
-                for b in range(a, m):
-                    for c in range(b, m):
-                        sums.add((idx[a], idx[b], idx[c]))
-        self.sums = sorted(sums)
+        self._line_indices = [
+            sorted(table.index[p.coords] for p in line.points()) for line in lines
+        ]
 
         uf = _UnionFind(n)
-        for idx in line_indices:
+        for idx in self._line_indices:
             for x in idx[1:]:
                 uf.union(idx[0], x)
-        for i in range(n):
-            thirds = table.tangent_thirds[i]
+        for thirds in table.tangent_thirds:
             for k in thirds[1:]:
                 uf.union(thirds[0], k)
         self.rep = [uf.find(i) for i in range(n)]
@@ -361,18 +316,24 @@ class ZPresentation:
         self.column = {r: c for c, r in enumerate(self.class_reps)}
         r = len(self.class_reps)
 
-        imgs = sorted(
-            {tuple(sorted((self.rep[a], self.rep[b], self.rep[c]))) for a, b, c in self.sums}
-        )
+        col = [self.column[x] for x in self.rep]
+        count = 0
+        images = set()
+        for a, b, c in self._generating_sums():
+            count += 1
+            images.add((col[a], col[b], col[c]))
+        self.sum_count = count
+        # the class columns of a sorted point triple need not be sorted
+        imgs = sorted({tuple(sorted(img)) for img in images})
         rows = []
         if imgs:
             base_vec = [0] * r
             for x in imgs[0]:
-                base_vec[self.column[x]] += 1
+                base_vec[x] += 1
             for img in imgs[1:]:
                 row = [-x for x in base_vec]
                 for x in img:
-                    row[self.column[x]] += 1
+                    row[x] += 1
                 rows.append(row)
         self.matrix = rows
 
@@ -381,6 +342,45 @@ class ZPresentation:
         self.snf = _snf_with_inverses(reduced) if reduced else None
         self._structure: Optional[GroupStructure] = None
 
+    def _generating_sums(self) -> Iterator[tuple[int, int, int]]:
+        """Each distinct generating sum once, as a sorted point-index triple.
+
+        Two distinct points fix their line, so a sum with two distinct
+        points comes from one line only: a secant through three distinct
+        points is taken from its smallest pair, a tangent sum 2P + Q from
+        the pair (P, Q), and a multiset on a contained line from that
+        line.  A tangent third Q != P repeats the pair (P, Q) and is
+        skipped.  3P is taken once per point that is asymptotic or lies on
+        a contained line.
+        """
+        table = self.table
+        n = len(self.points)
+        pair = table.pair_third
+        for i in range(n):
+            row = pair[i * n : (i + 1) * n]
+            for j in range(i + 1, n):
+                k = row[j]
+                if k > j:
+                    yield (i, j, k)
+                elif k == i:
+                    yield (i, i, j)
+                elif k == j:
+                    yield (i, j, j)
+        on_line = {x for idx in self._line_indices for x in idx}
+        for i, thirds in enumerate(table.tangent_thirds):
+            if i in on_line or i in thirds:
+                yield (i, i, i)
+        for idx in self._line_indices:
+            for a, b in combinations(idx, 2):
+                yield (a, a, b)
+                yield (a, b, b)
+            yield from combinations(idx, 3)
+
+    @property
+    def sums(self) -> list[tuple[int, int, int]]:
+        """Every distinct generating sum, sorted; rebuilt on each access."""
+        return sorted(self._generating_sums())
+
     @staticmethod
     def _triangular_basis(rows: list[list[int]], width: int) -> list[list[int]]:
         """A triangular lattice basis for the row span, by online insertion.
@@ -388,7 +388,8 @@ class ZPresentation:
         Each incoming row is folded against the held pivot of its leading
         column: either reduced outright when the pivot divides its lead,
         or combined with the pivot by an extended gcd, a unimodular step
-        that keeps the accumulated row span exact.
+        that keeps the accumulated row span exact.  Leading entries come
+        out positive.
         """
         pivots: list[Optional[list[int]]] = [None] * width
         for row in rows:
@@ -465,7 +466,7 @@ class ZPresentation:
             self._structure = GroupStructure(
                 points=len(self.points),
                 classes=r,
-                relations=len(self.sums) - 1,
+                relations=self.sum_count - 1,
                 h0_free_rank=h0_free,
                 invariant_factors=factors,
                 h0_dim_mod2=h0_free + sum(1 for x in diag if x % 2 == 0),
@@ -473,23 +474,6 @@ class ZPresentation:
                 two_torsion_dim=sum(1 for x in diag if x % 2 == 0),
             )
         return self._structure
-
-    def verify(self) -> None:
-        """Exact consistency checks on the cached decomposition."""
-        for row in self.matrix:
-            if sum(row) != 0:
-                raise AssertionError("relation row with non-zero degree")
-        if self.snf is None:
-            return
-        u, uinv, d, v, vinv = self.snf
-        if _mat_mul(u, _mat_mul(self.reduced, v)) != d:
-            raise AssertionError("U M V differs from D")
-        if _bareiss_det(u) not in (1, -1) or _bareiss_det(v) not in (1, -1):
-            raise AssertionError("transform is not unimodular")
-        if _mat_mul(u, uinv) != _identity(len(u)):
-            raise AssertionError("U inverse mismatch")
-        if _mat_mul(v, vinv) != _identity(len(v)):
-            raise AssertionError("V inverse mismatch")
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -614,7 +598,7 @@ def _difference_classes_generate(
     """Whether the classes [P - P0] span the whole degree-0 part."""
     r = len(presentation.class_reps)
     base_col = presentation.column[presentation.rep[presentation._point_index(base_point)]]
-    rows = [list(row) for row in presentation.reduced]
+    rows = [row[1:] for row in presentation.reduced]
     for p in points:
         col = presentation.column[presentation.rep[presentation._point_index(p)]]
         if col == base_col:
@@ -622,14 +606,10 @@ def _difference_classes_generate(
         row = [0] * r
         row[col] = 1
         row[base_col] = -1
-        rows.append(row)
-    # drop a fixed column to express everything in the lattice of degree-0
-    # vectors; generation means the quotient there is trivial
-    trimmed = [row[1:] for row in rows]
-    if not trimmed:
-        return r - 1 == 0
-    _, _, d, _, _ = _snf_with_inverses(trimmed)
+        rows.append(row[1:])
+    # with a fixed column dropped the rows live in Z^(r-1), the lattice of
+    # degree-0 vectors; they span it exactly when their triangular basis
+    # is square with every leading entry 1
     width = r - 1
-    diag = [d[j][j] for j in range(min(len(d), width))]
-    rank = sum(1 for x in diag if x)
-    return rank == width and all(x == 1 for x in diag[:rank])
+    basis = ZPresentation._triangular_basis(rows, width)
+    return len(basis) == width and all(row[c] == 1 for c, row in enumerate(basis))

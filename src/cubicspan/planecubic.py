@@ -116,13 +116,16 @@ def third_point(a: CurvePoint, b: CurvePoint) -> CurvePoint:
     )
 
 
-def group_add(a: CurvePoint, b: CurvePoint) -> CurvePoint:
-    """The chord-tangent sum with identity O."""
-    return third_point(third_point(a, b), base_point(a.p))
-
-
 def group_neg(a: CurvePoint) -> CurvePoint:
-    return third_point(a, base_point(a.p))
+    """-(x : y : z) = (y : x : z): the line through a and O = (1 : -1 : 0)
+    holds (x, y, z) + (y - x)(1, -1, 0), and the equation is symmetric."""
+    x, y, z = a.coords
+    return _normalized(a.p, (y, x, z))
+
+
+def group_add(a: CurvePoint, b: CurvePoint) -> CurvePoint:
+    """The chord-tangent sum with identity O: -(third point of a and b)."""
+    return group_neg(third_point(a, b))
 
 
 def group_mul(a: CurvePoint, k: int) -> CurvePoint:

@@ -235,22 +235,6 @@ def good_parametrization(p_coords: Iterable[int], q_coords: Iterable[int]) -> Go
     return GoodLineParam(u, v)
 
 
-def line_coordinates(param: GoodLineParam, coords: Iterable[int]) -> tuple[Fraction, Fraction]:
-    """Coefficients (lam, mu) with lam*u + mu*v equal to the given point."""
-    target = _primitive4(coords)
-    u, v = param.u, param.v
-    i, j = next(
-        (i, j) for i, j in combinations(range(4), 2) if u[i] * v[j] - u[j] * v[i]
-    )
-    det = u[i] * v[j] - u[j] * v[i]
-    lam = Fraction(target[i] * v[j] - target[j] * v[i], det)
-    mu = Fraction(u[i] * target[j] - u[j] * target[i], det)
-    for k in range(4):
-        if lam * u[k] + mu * v[k] != target[k]:
-            raise ValueError(f"{target} does not lie on the line")
-    return lam, mu
-
-
 def _divisors(x: int) -> list[int]:
     """Positive divisors of the nonzero integer x, ascending."""
     divs = [1]

@@ -1,4 +1,4 @@
-"""Cubic surfaces in P^3: lines, tangency, point types, the Gauss map.
+"""Cubic surfaces in P^3: lines, tangency, point types.
 
 A surface is a nonzero homogeneous cubic form in four variables with
 coefficients either in a finite field (codes, see field.py) or in the
@@ -18,13 +18,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
     FamilyMismatch,
     IdenticallyZero,
-    LineNotOnSurface,
     PointNotOnSurface,
     SingularPoint,
 )
@@ -42,7 +41,6 @@ from .projgeo import (
     Plane3,
     ProjPoint,
     line_through,
-    lines_in_plane_through,
     normalize,
     rank,
 )
@@ -652,17 +650,7 @@ def intersect_line(form: CubicForm, line: Line3, resolve: bool = True) -> Inters
     return IntersectionDivisor(line, False, tuple(entries), tuple(unresolved))
 
 
-# -- tangent planes and the curves cut by them --------------------------
-
-
-def tangent_plane(form: CubicForm, point: ProjPoint) -> Plane3:
-    """The plane with covector grad F at a smooth surface point."""
-    if form.evaluate(point.coords) != 0:
-        raise PointNotOnSurface(f"{point} is not on the surface")
-    grad = form.gradient(point.coords)
-    if not any(grad):
-        raise SingularPoint(f"gradient vanishes at {point}")
-    return Plane3(form.field, grad)
+# -- the curves cut by tangent planes -----------------------------------
 
 
 class GammaType(Enum):
@@ -817,7 +805,7 @@ def gamma_curve(form: CubicForm, point: ProjPoint) -> GammaCurve:
     )
 
 
-# -- point classification and asymptotic lines --------------------------
+# -- point classification -----------------------------------------------
 
 
 class PointKind(Enum):
@@ -834,12 +822,6 @@ class PointClass:
     line_count: int  # lines of the surface through the point, over the closure
 
 
-@dataclass(frozen=True)
-class AsymptoticLines:
-    lines: tuple[Line3, ...]
-    cardinality: Union[int, str]  # 1, 2 or "infinite" over the closure
-
-
 def classify_point(form: CubicForm, point: ProjPoint) -> PointClass:
     """Eckardt / parabolic / hyperbolic / elliptic type of a smooth point."""
     gamma = gamma_curve(form, point)
@@ -852,76 +834,6 @@ def classify_point(form: CubicForm, point: ProjPoint) -> PointClass:
     else:
         kind = PointKind.HYPERBOLIC
     return PointClass(kind, kind is not PointKind.ELLIPTIC, gamma.closure_lines_through_base)
-
-
-def asymptotic_lines(form: CubicForm, point: ProjPoint) -> AsymptoticLines:
-    """All rational lines meeting the surface with multiplicity >= 3 at the point."""
-    gamma = gamma_curve(form, point)
-    f = form.field
-    if gamma.singularity == "triple":
-        pencil = lines_in_plane_through(gamma.plane, point)
-        return AsymptoticLines(tuple(pencil), "infinite")
-    lines = []
-    for (s, t), _mult in gamma.cone_roots:
-        second = [f.add(f.mul(s, x), f.mul(t, y)) for x, y in zip(*gamma.local_directions)]
-        lines.append(line_through(point, ProjPoint(f, second)))
-    return AsymptoticLines(tuple(lines), 1 if gamma.singularity == "cusp" else 2)
-
-
-# -- the Gauss map restricted to a contained line -----------------------
-
-
-@dataclass(frozen=True)
-class GaussMapOnLine:
-    """Degree-2 data of P -> tangent plane at P along a line on the surface.
-
-    coordinate_forms holds the two binary quadratics whose ratio realizes
-    the map in the pencil of planes through the line; their common zeros
-    would be singular surface points, so none exist here.
-    """
-
-    line: Line3
-    separable: bool
-    coordinate_forms: tuple[tuple[int, int, int], tuple[int, int, int]]
-    parabolic_points: tuple[ProjPoint, ...]
-    eckardt_points: tuple[ProjPoint, ...]
-    closure_ramification: Union[int, str]  # 2, 1, or "all"
-    degree: int = 2
-
-
-def gauss_on_line(form: CubicForm, line: Line3) -> GaussMapOnLine:
-    """Ramification data of the tangent-plane map along a contained line."""
-    f = form.field
-    u, v = line.rows
-    if any(form.restrict_to_line(u, v)):
-        raise LineNotOnSurface(f"{line} is not contained in the surface")
-    pivots = [next(i for i, c in enumerate(row) if c) for row in line.rows]
-    m1, m2 = [i for i in range(4) if i not in pivots]
-    q = form.partial_on_line(m1, u, v)
-    r = form.partial_on_line(m2, u, v)
-    if f.p == 2:
-        if q[1] == 0 and r[1] == 0:
-            pts = tuple(line.points())
-            eck = tuple(p for p in pts if classify_point(form, p).kind is PointKind.ECKARDT)
-            return GaussMapOnLine(line, False, (q, r), pts, eck, "all")
-        fiber_s2 = f.sub(f.mul(r[1], q[0]), f.mul(q[1], r[0]))
-        fiber_t2 = f.sub(f.mul(r[1], q[2]), f.mul(q[1], r[2]))
-        if fiber_s2 == 0 and fiber_t2 == 0:
-            raise SingularPoint("the tangent-plane map is degenerate along the line")
-        pt = line.point_at(f.sqrt(fiber_t2), f.sqrt(fiber_s2))
-        eck = (pt,) if classify_point(form, pt).kind is PointKind.ECKARDT else ()
-        return GaussMapOnLine(line, True, (q, r), (pt,), eck, 1)
-    two = 2 % f.p
-    four = 4 % f.p
-    ja = f.mul(two, f.sub(f.mul(q[0], r[1]), f.mul(q[1], r[0])))
-    jb = f.mul(four, f.sub(f.mul(q[0], r[2]), f.mul(q[2], r[0])))
-    jc = f.mul(two, f.sub(f.mul(q[1], r[2]), f.mul(q[2], r[1])))
-    if not (ja or jb or jc):
-        raise SingularPoint("the tangent-plane map is degenerate along the line")
-    roots, _ext = _binary_quadratic_roots(f, ja, jb, jc)
-    pts = tuple(line.point_at(s, t) for (s, t), _ in roots)
-    eck = tuple(p for p in pts if classify_point(form, p).kind is PointKind.ECKARDT)
-    return GaussMapOnLine(line, True, (q, r), pts, eck, 2)
 
 
 def eckardt_points(form: CubicForm, candidates: Optional[Sequence[ProjPoint]] = None) -> list[ProjPoint]:

@@ -6,15 +6,31 @@ lexicographically by their flattened canonical 2x4 matrix.  The
 reduction oracles search every (z, w) slice and reduce every point, with
 no residue deduplication.  The plane-cubic oracles find third points by
 the pencil of each line and group shapes on an independent Weierstrass
-model.
+model.  The presentation oracle collects every generating sum at the
+point level before merging classes, and the generation oracle reads a
+full Smith form.
+
+The rest is geometry and arithmetic only the tests use: tangent planes,
+asymptotic lines, the Gauss map along a contained line, cube roots of
+unity, coordinates on a good line, and exact checks of the Smith
+transforms.
 """
 
 import heapq
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence, Union
 
-from cubicspan.errors import BadPrime
-from cubicspan.field import ExtField, make_extension
+from cubicspan.errors import (
+    BadPrime,
+    LineNotOnSurface,
+    PointNotOnSurface,
+    SingularPoint,
+)
+from cubicspan.field import ExtField, make_extension, solve_quadratic
+from cubicspan.hsgroup import ZPresentation, _identity, _snf_with_inverses
 from cubicspan.planecubic import (
     CurvePoint,
     curve_point,
@@ -22,18 +38,35 @@ from cubicspan.planecubic import (
     group_structure,
     third_point,
 )
-from cubicspan.projgeo import Line3, rank
+from cubicspan.projgeo import (
+    Line3,
+    Plane3,
+    ProjPoint,
+    line_through,
+    lines_in_plane_through,
+    rank,
+)
 from cubicspan.reduction import (
     FAMILY_MODULUS,
     FAMILY_S,
+    GoodLineParam,
     RankBoundReport,
     ReductionCoverage,
     SurfacePoint,
+    _primitive4,
     base_surface_point,
     family_tag,
     rank_bound_m,
     reduce_to_curve,
     reduction_class,
+)
+from cubicspan.span import SpanTable
+from cubicspan.surface import (
+    CubicForm,
+    PointKind,
+    _binary_quadratic_roots,
+    classify_point,
+    gamma_curve,
 )
 
 
@@ -299,3 +332,266 @@ def _weierstrass_structure(p, pts) -> tuple[int, ...]:
         exponent = lcm(exponent, k)
     d1 = n // exponent
     return (exponent,) if d1 == 1 else (d1, exponent)
+
+
+# -- surface geometry only the tests use --------------------------------
+
+
+def tangent_plane(form: CubicForm, point: ProjPoint) -> Plane3:
+    """The plane with covector grad F at a smooth surface point."""
+    if form.evaluate(point.coords) != 0:
+        raise PointNotOnSurface(f"{point} is not on the surface")
+    grad = form.gradient(point.coords)
+    if not any(grad):
+        raise SingularPoint(f"gradient vanishes at {point}")
+    return Plane3(form.field, grad)
+
+
+@dataclass(frozen=True)
+class AsymptoticLines:
+    lines: tuple[Line3, ...]
+    cardinality: Union[int, str]  # 1, 2 or "infinite" over the closure
+
+
+def asymptotic_lines(form: CubicForm, point: ProjPoint) -> AsymptoticLines:
+    """All rational lines meeting the surface with multiplicity >= 3 at the point."""
+    gamma = gamma_curve(form, point)
+    f = form.field
+    if gamma.singularity == "triple":
+        pencil = lines_in_plane_through(gamma.plane, point)
+        return AsymptoticLines(tuple(pencil), "infinite")
+    lines = []
+    for (s, t), _mult in gamma.cone_roots:
+        second = [f.add(f.mul(s, x), f.mul(t, y)) for x, y in zip(*gamma.local_directions)]
+        lines.append(line_through(point, ProjPoint(f, second)))
+    return AsymptoticLines(tuple(lines), 1 if gamma.singularity == "cusp" else 2)
+
+
+@dataclass(frozen=True)
+class GaussMapOnLine:
+    """Degree-2 data of P -> tangent plane at P along a line on the surface.
+
+    coordinate_forms holds the two binary quadratics whose ratio realizes
+    the map in the pencil of planes through the line; their common zeros
+    would be singular surface points, so none exist here.
+    """
+
+    line: Line3
+    separable: bool
+    coordinate_forms: tuple[tuple[int, int, int], tuple[int, int, int]]
+    parabolic_points: tuple[ProjPoint, ...]
+    eckardt_points: tuple[ProjPoint, ...]
+    closure_ramification: Union[int, str]  # 2, 1, or "all"
+    degree: int = 2
+
+
+def gauss_on_line(form: CubicForm, line: Line3) -> GaussMapOnLine:
+    """Ramification data of the tangent-plane map along a contained line."""
+    f = form.field
+    u, v = line.rows
+    if any(form.restrict_to_line(u, v)):
+        raise LineNotOnSurface(f"{line} is not contained in the surface")
+    pivots = [next(i for i, c in enumerate(row) if c) for row in line.rows]
+    m1, m2 = [i for i in range(4) if i not in pivots]
+    q = form.partial_on_line(m1, u, v)
+    r = form.partial_on_line(m2, u, v)
+    if f.p == 2:
+        if q[1] == 0 and r[1] == 0:
+            pts = tuple(line.points())
+            eck = tuple(p for p in pts if classify_point(form, p).kind is PointKind.ECKARDT)
+            return GaussMapOnLine(line, False, (q, r), pts, eck, "all")
+        fiber_s2 = f.sub(f.mul(r[1], q[0]), f.mul(q[1], r[0]))
+        fiber_t2 = f.sub(f.mul(r[1], q[2]), f.mul(q[1], r[2]))
+        if fiber_s2 == 0 and fiber_t2 == 0:
+            raise SingularPoint("the tangent-plane map is degenerate along the line")
+        pt = line.point_at(f.sqrt(fiber_t2), f.sqrt(fiber_s2))
+        eck = (pt,) if classify_point(form, pt).kind is PointKind.ECKARDT else ()
+        return GaussMapOnLine(line, True, (q, r), (pt,), eck, 1)
+    two = 2 % f.p
+    four = 4 % f.p
+    ja = f.mul(two, f.sub(f.mul(q[0], r[1]), f.mul(q[1], r[0])))
+    jb = f.mul(four, f.sub(f.mul(q[0], r[2]), f.mul(q[2], r[0])))
+    jc = f.mul(two, f.sub(f.mul(q[1], r[2]), f.mul(q[2], r[1])))
+    if not (ja or jb or jc):
+        raise SingularPoint("the tangent-plane map is degenerate along the line")
+    roots, _ext = _binary_quadratic_roots(f, ja, jb, jc)
+    pts = tuple(line.point_at(s, t) for (s, t), _ in roots)
+    eck = tuple(p for p in pts if classify_point(form, p).kind is PointKind.ECKARDT)
+    return GaussMapOnLine(line, True, (q, r), pts, eck, 2)
+
+
+# -- arithmetic only the tests use --------------------------------------
+
+
+def cube_roots_of_unity(field: ExtField) -> list[int]:
+    """All cube roots of unity in the field, sorted by code."""
+    if field.q % 3 != 1:
+        return [1]
+    roots = solve_quadratic(field, 1, 1, 1)
+    return sorted([1] + [r for r, _ in roots])
+
+
+def line_coordinates(param: GoodLineParam, coords: Iterable[int]) -> tuple[Fraction, Fraction]:
+    """Coefficients (lam, mu) with lam*u + mu*v equal to the given point."""
+    target = _primitive4(coords)
+    u, v = param.u, param.v
+    i, j = next(
+        (i, j) for i, j in combinations(range(4), 2) if u[i] * v[j] - u[j] * v[i]
+    )
+    det = u[i] * v[j] - u[j] * v[i]
+    lam = Fraction(target[i] * v[j] - target[j] * v[i], det)
+    mu = Fraction(u[i] * target[j] - u[j] * target[i], det)
+    for k in range(4):
+        if lam * u[k] + mu * v[k] != target[k]:
+            raise ValueError(f"{target} does not lie on the line")
+    return lam, mu
+
+
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("inner dimensions differ")
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def bareiss_det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant by fraction-free elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+# -- the class-group presentation ---------------------------------------
+
+
+def verify_presentation(pres: ZPresentation) -> None:
+    """Exact consistency checks on a presentation's cached decomposition."""
+    for row in pres.matrix:
+        if sum(row) != 0:
+            raise AssertionError("relation row with non-zero degree")
+    if pres.snf is None:
+        return
+    u, uinv, d, v, vinv = pres.snf
+    if mat_mul(u, mat_mul(pres.reduced, v)) != d:
+        raise AssertionError("U M V differs from D")
+    if bareiss_det(u) not in (1, -1) or bareiss_det(v) not in (1, -1):
+        raise AssertionError("transform is not unimodular")
+    if mat_mul(u, uinv) != _identity(len(u)):
+        raise AssertionError("U inverse mismatch")
+    if mat_mul(v, vinv) != _identity(len(v)):
+        raise AssertionError("V inverse mismatch")
+
+
+def point_level_presentation(table: SpanTable, lines: Sequence[Line3]) -> dict:
+    """Sums, classes and relation rows with every sum collected as points.
+
+    Every secant pair, every tangent third and every multiset on a
+    contained line goes into one set of sorted point triples; the classes
+    come from merging contained lines and tangent thirds, and the rows
+    are the images of the sorted sums, deduplicated, against the first.
+    """
+    n = len(table.points)
+    sums: set[tuple[int, int, int]] = set()
+    pair = table.pair_third
+    for i in range(n):
+        for j in range(i + 1, n):
+            k = pair[i * n + j]
+            if k >= 0:
+                sums.add(tuple(sorted((i, j, k))))
+        for k in table.tangent_thirds[i]:
+            sums.add(tuple(sorted((i, i, k))))
+    line_indices = []
+    for line in lines:
+        idx = sorted(table.index[p.coords] for p in line.points())
+        line_indices.append(idx)
+        for a in range(len(idx)):
+            for b in range(a, len(idx)):
+                for c in range(b, len(idx)):
+                    sums.add((idx[a], idx[b], idx[c]))
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = sorted((find(x), find(y)))
+        parent[ry] = rx
+
+    for idx in line_indices:
+        for x in idx[1:]:
+            union(idx[0], x)
+    for thirds in table.tangent_thirds:
+        for k in thirds[1:]:
+            union(thirds[0], k)
+    rep = [find(i) for i in range(n)]
+    class_reps = sorted(set(rep))
+    column = {r: c for c, r in enumerate(class_reps)}
+    ordered = sorted(sums)
+    imgs = sorted({tuple(sorted((rep[a], rep[b], rep[c]))) for a, b, c in ordered})
+    rows = []
+    if imgs:
+        base = [0] * len(class_reps)
+        for x in imgs[0]:
+            base[column[x]] += 1
+        for img in imgs[1:]:
+            row = [-x for x in base]
+            for x in img:
+                row[column[x]] += 1
+            rows.append(row)
+    return {"sums": ordered, "rep": rep, "class_reps": class_reps, "matrix": rows}
+
+
+def smith_difference_classes_generate(
+    pres: ZPresentation, base_point: ProjPoint, points: Iterable[ProjPoint]
+) -> bool:
+    """Whether the classes [P - P0] span H0, read off a full Smith form."""
+    r = len(pres.class_reps)
+
+    def col(p):
+        return pres.column[pres.rep[pres.table.index[p.coords]]]
+
+    base_col = col(base_point)
+    rows = [list(row) for row in pres.reduced]
+    for p in points:
+        c = col(p)
+        if c == base_col:
+            continue
+        row = [0] * r
+        row[c] = 1
+        row[base_col] = -1
+        rows.append(row)
+    trimmed = [row[1:] for row in rows]
+    if not trimmed:
+        return r - 1 == 0
+    _, _, d, _, _ = _snf_with_inverses(trimmed)
+    width = r - 1
+    diag = [d[j][j] for j in range(min(len(d), width))]
+    rank_ = sum(1 for x in diag if x)
+    return rank_ == width and all(x == 1 for x in diag[:rank_])

@@ -4,11 +4,13 @@ import hashlib
 import json
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from cubicspan.cli import build_parser, main
+from cubicspan.harness import ExperimentConfig
 from cubicspan.reduction import family_tag
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -318,6 +320,27 @@ def test_verify_check_selection(capsys):
     by_name = {r["name"]: r for r in doc["results"]}
     assert by_name["pic/two_division"]["status"] == "pass"
     assert by_name["pic/quotient_mod3"]["status"] == "skip"
+
+
+def test_verify_attempts_reaches_the_sampler(capsys):
+    # seed 4 over GF(7) draws its first smooth surface on the second trial
+    argv = ["verify", "--suite", "hs", "--surface", "random", "--p", "7", "--seed", "4"]
+    code, doc = run_json(capsys, argv + ["--attempts", "2"])
+    assert code == 0
+    assert doc["config"]["attempts"] == 2
+    assert doc["counts"]["fail"] == 0
+    assert main(argv + ["--attempts", "1"]) == 2
+    assert "in 1 attempts" in capsys.readouterr().err
+
+
+def test_verify_has_one_option_per_config_field():
+    parser = build_parser()
+    args = parser.parse_args(["verify", "--suite", "all"])
+    defaults = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+    assert ExperimentConfig(**defaults) == ExperimentConfig()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["verify", "--suite", "hs", "--surface", "bogus"])
+    assert exc.value.code == 2
 
 
 def test_scan_samples_are_deterministic(capsys):

@@ -8,7 +8,6 @@ from cubicspan.errors import BudgetExceeded, DegreeTooLarge, HypothesisFailed, I
 from cubicspan.field import (
     _FLAT_TABLE_LIMIT,
     CubicRoots,
-    cube_roots_of_unity,
     embedding,
     field_from_dict,
     is_prime,
@@ -17,6 +16,8 @@ from cubicspan.field import (
     solve_quadratic,
     univariate_gcd,
 )
+
+from oracles import cube_roots_of_unity
 
 AXIOM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (13, 1), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6), (13, 2)]
 

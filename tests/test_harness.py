@@ -286,6 +286,22 @@ def test_hs_suite_on_fermat():
     assert by_name["hs/generator_bound"].detail["generates"] is True
 
 
+def test_hs_suite_builds_one_presentation(monkeypatch):
+    import cubicspan.hsgroup as hsgroup
+
+    built = []
+    init = hsgroup.ZPresentation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(hsgroup.ZPresentation, "__init__", counting)
+    report = run_suite("hs", ExperimentConfig(p=5))
+    assert report.passed
+    assert len(built) == 1
+
+
 def test_geometry_suite_on_char2_example():
     report = run_suite("geometry", ExperimentConfig())
     assert report.passed

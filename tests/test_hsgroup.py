@@ -1,13 +1,15 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicspan.errors import PointNotOnSurface
 from cubicspan.field import make_extension
+from cubicspan.harness import random_smooth_surface
 from cubicspan.hsgroup import (
     GroupStructure,
     ZPresentation,
-    _bareiss_det,
-    _mat_mul,
+    _difference_classes_generate,
     _snf_with_inverses,
     class_diff,
     class_of,
@@ -15,6 +17,7 @@ from cubicspan.hsgroup import (
     smith_normal_form,
     ternary_bound_check,
 )
+from cubicspan.projgeo import ProjPoint
 from cubicspan.span import SpanTable
 from cubicspan.surface import (
     CubicForm,
@@ -22,6 +25,14 @@ from cubicspan.surface import (
     fermat_cubic,
     gamma_curve,
     lines_on_surface,
+)
+
+from oracles import (
+    bareiss_det,
+    mat_mul,
+    point_level_presentation,
+    smith_difference_classes_generate,
+    verify_presentation,
 )
 
 F5 = make_extension(5, 1)
@@ -53,9 +64,9 @@ def _diag(d):
 def test_snf_two_by_two():
     u, d, v = smith_normal_form([[2, 0], [0, 3]])
     assert _diag(d) == [1, 6]
-    assert _mat_mul(u, _mat_mul([[2, 0], [0, 3]], v)) == d
-    assert _bareiss_det(u) in (1, -1)
-    assert _bareiss_det(v) in (1, -1)
+    assert mat_mul(u, mat_mul([[2, 0], [0, 3]], v)) == d
+    assert bareiss_det(u) in (1, -1)
+    assert bareiss_det(v) in (1, -1)
 
 
 def test_snf_zero_matrix():
@@ -78,11 +89,11 @@ def test_snf_ragged_input_rejected():
 )
 def test_snf_recomposition_and_chain(m):
     u, uinv, d, v, vinv = _snf_with_inverses(m)
-    assert _mat_mul(u, _mat_mul(m, v)) == d
+    assert mat_mul(u, mat_mul(m, v)) == d
     # exact recomposition through the tracked inverses
-    assert _mat_mul(uinv, _mat_mul(d, vinv)) == m
-    assert _mat_mul(u, uinv) == [[int(i == j) for j in range(6)] for i in range(6)]
-    assert _mat_mul(v, vinv) == [[int(i == j) for j in range(8)] for i in range(8)]
+    assert mat_mul(uinv, mat_mul(d, vinv)) == m
+    assert mat_mul(u, uinv) == [[int(i == j) for j in range(6)] for i in range(6)]
+    assert mat_mul(v, vinv) == [[int(i == j) for j in range(8)] for i in range(8)]
     diag = _diag(d)
     assert all(x >= 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
@@ -114,7 +125,7 @@ def test_presentation_fermat_f5(fermat5_presentation):
     assert s.classes == 5
     assert s.relations == 396
     assert s.h0_trivial
-    fermat5_presentation.verify()
+    verify_presentation(fermat5_presentation)
 
 
 def test_tangent_sums_present(fermat5_presentation):
@@ -277,4 +288,150 @@ def test_ternary_bound_f5(fermat5_presentation):
 
 
 def test_verify_detects_nothing_on_clean_builds(fermat13_presentation):
-    fermat13_presentation.verify()
+    verify_presentation(fermat13_presentation)
+
+
+# -- the class-space presentation against the point-level oracle --------
+
+F2 = make_extension(2, 1)
+
+#: surfaces whose presentation is compared with the point-level oracle:
+#: Fermat GF(5) (5 classes) and GF(13), draws in characteristic 2 and 3,
+#: and the one-line acceptance draw over GF(7)
+ORACLE_SURFACES = {
+    "fermat-5": lambda: fermat_cubic(F5),
+    "fermat-13": lambda: fermat_cubic(F13),
+    "gf4-seed1": lambda: random_smooth_surface(make_extension(2, 2), 1),
+    "gf8-seed2": lambda: random_smooth_surface(make_extension(2, 3), 2),
+    "gf16-seed2": lambda: random_smooth_surface(make_extension(2, 4), 2),
+    "gf9-seed1": lambda: random_smooth_surface(make_extension(3, 2), 1),
+    "gf9-seed3": lambda: random_smooth_surface(make_extension(3, 2), 3),
+    "gf7-seed4": lambda: random_smooth_surface(F7, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SURFACES))
+def test_presentation_matches_point_level_oracle(name):
+    form = ORACLE_SURFACES[name]()
+    table = SpanTable(form)
+    lines = lines_on_surface(form)
+    pres = ZPresentation(form, table=table, lines=lines)
+    oracle = point_level_presentation(table, lines)
+    sums = pres.sums
+    assert sums == oracle["sums"]
+    assert len(set(sums)) == len(sums) == pres.sum_count
+    assert pres.structure.relations == len(oracle["sums"]) - 1
+    assert pres.rep == oracle["rep"]
+    assert pres.class_reps == oracle["class_reps"]
+    assert pres.matrix == oracle["matrix"]
+    verify_presentation(pres)
+
+
+@pytest.fixture(scope="module")
+def torsion_presentation():
+    """The GF(2) draw with sampler seed 48: 3 points, 3 classes, H0 = Z/3."""
+    return ZPresentation(random_smooth_surface(F2, 48))
+
+
+def test_torsion_surface_structure_is_pinned(torsion_presentation):
+    pres = torsion_presentation
+    assert [p.coords for p in pres.points] == [(1, 1, 1, 0), (1, 1, 1, 1), (0, 0, 0, 1)]
+    assert pres.structure == GroupStructure(
+        points=3,
+        classes=3,
+        relations=3,
+        h0_free_rank=0,
+        invariant_factors=(3,),
+        h0_dim_mod2=0,
+        h0_dim_mod3=1,
+        two_torsion_dim=0,
+    )
+    assert pres.sums == [(0, 0, 0), (0, 1, 2), (1, 1, 1), (2, 2, 2)]
+    assert pres.reduced == [[1, -2, 1], [0, 3, -3]]
+    verify_presentation(pres)
+
+
+def test_torsion_surface_classes_are_pinned(torsion_presentation):
+    # canonical vectors recorded with the point-level presentation
+    pres = torsion_presentation
+    classes = {
+        (1, 1, 1, 0): ((1, 2), (2, -1)),
+        (1, 1, 1, 1): ((1, 1),),
+        (0, 0, 0, 1): ((2, 1),),
+    }
+    diffs = {
+        ((1, 1, 1, 0), (1, 1, 1, 1)): ((1, 1), (2, -1)),
+        ((1, 1, 1, 0), (0, 0, 0, 1)): ((1, 2), (2, -2)),
+        ((1, 1, 1, 1), (1, 1, 1, 0)): ((1, 2), (2, -2)),
+        ((1, 1, 1, 1), (0, 0, 0, 1)): ((1, 1), (2, -1)),
+        ((0, 0, 0, 1), (1, 1, 1, 0)): ((1, 1), (2, -1)),
+        ((0, 0, 0, 1), (1, 1, 1, 1)): ((1, 2), (2, -2)),
+    }
+    for coords, vector in classes.items():
+        cls = pres.class_of(ProjPoint(F2, coords))
+        assert (cls.vector, cls.degree) == (vector, 1)
+    for (a, b), vector in diffs.items():
+        diff = pres.class_diff(ProjPoint(F2, a), ProjPoint(F2, b))
+        assert (diff.vector, diff.degree) == (vector, 0)
+        assert not diff.is_zero
+        # H0 = Z/3: every nonzero difference has order 3
+        assert not (diff + diff).is_zero and (diff + diff + diff).is_zero
+
+
+def _generation_verdicts(pres, bases):
+    verdicts = set()
+    for base in bases:
+        for size in range(4):
+            for subset in combinations(pres.points, size):
+                got = _difference_classes_generate(pres, base, subset)
+                assert got == smith_difference_classes_generate(pres, base, subset)
+                verdicts.add(got)
+    return verdicts
+
+
+def test_triangular_generation_matches_smith_form_with_torsion(torsion_presentation):
+    # H0 = Z/3: a subset generates exactly when it leaves the base class
+    pres = torsion_presentation
+    assert _generation_verdicts(pres, pres.points) == {True, False}
+
+
+def test_triangular_generation_matches_smith_form_on_fermat5(fermat5_presentation):
+    # H0 is trivial here, so every subset generates; one base per class
+    pres = fermat5_presentation
+    bases = [pres.points[i] for i in pres.class_reps]
+    assert _generation_verdicts(pres, bases) == {True}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(0, 4),
+    data=st.data(),
+)
+def test_triangular_basis_unimodular_test_matches_smith_form(width, data):
+    rows = data.draw(
+        st.lists(st.lists(st.integers(-4, 4), min_size=width, max_size=width), max_size=6)
+    )
+    basis = ZPresentation._triangular_basis(rows, width)
+    spans = len(basis) == width and all(row[c] == 1 for c, row in enumerate(basis))
+    if rows and width:
+        d = _snf_with_inverses(rows)[2]
+        diag = [d[j][j] for j in range(min(len(d), width))]
+        expected = len(diag) == width and all(x == 1 for x in diag)
+    else:
+        expected = width == 0
+    assert spans == expected
+
+
+def test_generation_check_needs_no_smith_form(
+    fermat5_presentation, torsion_presentation, monkeypatch
+):
+    import cubicspan.hsgroup as hsgroup
+
+    def refuse(m):
+        raise AssertionError("Smith form computed for the generation check")
+
+    monkeypatch.setattr(hsgroup, "_snf_with_inverses", refuse)
+    pres = fermat5_presentation
+    assert _difference_classes_generate(pres, pres.points[0], pres.points)
+    pres = torsion_presentation
+    assert not _difference_classes_generate(pres, pres.points[0], pres.points[:1])

@@ -29,7 +29,6 @@ from cubicspan.reduction import (
     find_del_pezzo_prime,
     form_value,
     good_parametrization,
-    line_coordinates,
     line_cycle,
     line_on_del_pezzo,
     newton_polygon,
@@ -42,7 +41,12 @@ from cubicspan.reduction import (
     surface_point,
     verify_line_relation,
 )
-from oracles import full_point_search, per_point_coverage, per_point_rank_bound
+from oracles import (
+    full_point_search,
+    line_coordinates,
+    per_point_coverage,
+    per_point_rank_bound,
+)
 
 
 @pytest.fixture(scope="module")

@@ -30,17 +30,15 @@ from cubicspan.span import (
 from cubicspan.surface import (
     CubicForm,
     PointKind,
-    asymptotic_lines,
     classify_point,
     fermat_cubic,
     intersect_line,
     lines_on_surface,
     surface_with_27_lines_over_f64,
-    tangent_plane,
     zero_points,
 )
 
-from oracles import enumerate_lines
+from oracles import asymptotic_lines, enumerate_lines, tangent_plane
 
 F4 = make_extension(2, 2)
 F5 = make_extension(5, 1)

@@ -23,26 +23,28 @@ from cubicspan.projgeo import (
 )
 from cubicspan.surface import (
     MONOMIALS,
-    AsymptoticLines,
     CubicForm,
     GammaType,
     PointKind,
     SmoothnessReport,
-    asymptotic_lines,
     classify_point,
     eckardt_points,
     fermat_cubic,
     gamma_curve,
-    gauss_on_line,
     intersect_line,
     is_smooth,
     lines_on_surface,
     surface_with_27_lines_over_f64,
-    tangent_plane,
     zero_points,
 )
 
-from oracles import enumerate_point_tuples, groebner_smooth
+from oracles import (
+    asymptotic_lines,
+    enumerate_point_tuples,
+    gauss_on_line,
+    groebner_smooth,
+    tangent_plane,
+)
 
 F5 = make_extension(5, 1)
 F7 = make_extension(7, 1)
