@@ -2,8 +2,7 @@
 
 Coordinates are field codes (see field.py).  Points and plane covectors are
 normalized so the first nonzero coordinate is 1; a line is the row space of
-a canonical 2x4 reduced row echelon matrix.  The Plucker vector is kept as
-a cached cross-check, not as the primary representation.
+a canonical 2x4 reduced row echelon matrix.
 
 Enumeration orders are part of the contract: codes sort as integers, points
 run chart by chart ((1,*,*,*) then (0,1,*,*) then (0,0,1,*) then (0,0,0,1))
@@ -138,7 +137,7 @@ def dot4(field: ExtField, a: Sequence[int], b: Sequence[int]) -> int:
 class Line3:
     """A line of P^3: the row space of a canonical 2x4 RREF matrix."""
 
-    __slots__ = ("field", "rows", "_plucker")
+    __slots__ = ("field", "rows")
 
     def __init__(self, field: ExtField, rows: Sequence[Sequence[int]], _canonical: bool = False):
         self.field = field
@@ -149,20 +148,6 @@ class Line3:
             if len(mat) != 2:
                 raise ValueError("rows do not span a line")
             self.rows = (tuple(mat[0]), tuple(mat[1]))
-        self._plucker = None
-
-    @property
-    def plucker(self) -> tuple[int, ...]:
-        """Normalized Plucker coordinates (p01, p02, p03, p12, p13, p23)."""
-        if self._plucker is None:
-            f = self.field
-            r0, r1 = self.rows
-            raw = [
-                f.sub(f.mul(r0[i], r1[j]), f.mul(r0[j], r1[i]))
-                for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-            ]
-            self._plucker = normalize(f, raw)
-        return self._plucker
 
     def contains(self, point: Union[ProjPoint, Sequence[int]]) -> bool:
         coords = point.coords if isinstance(point, ProjPoint) else tuple(point)
@@ -201,19 +186,6 @@ def skew(l1: Line3, l2: Line3) -> bool:
     """True when the lines do not meet (their four rows span P^3)."""
     mat, _ = rref(l1.field, [*l1.rows, *l2.rows])
     return len(mat) == 4
-
-
-def meet(line: Line3, plane: Plane3) -> Union[ProjPoint, str]:
-    """Intersection with a plane: a point, or "contained"."""
-    f = line.field
-    a = dot4(f, plane.covector, line.rows[0])
-    b = dot4(f, plane.covector, line.rows[1])
-    if a == 0 and b == 0:
-        return "contained"
-    # solve a s + b t = 0
-    if a == 0:
-        return line.point_at(1, 0)
-    return line.point_at(f.neg(b), a)
 
 
 def line_plane_pencil_basis(line: Line3) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -280,27 +252,3 @@ def pencil_basis(plane: Plane3, coords: Sequence[int]) -> tuple[tuple[int, ...],
     m0 = next(i for i, c in enumerate(pc) if c)
     e0, e1 = [basis[i] for i in range(3) if i != m0]
     return e0, e1
-
-
-def pencil_second_points(plane: Plane3, coords: Sequence[int]) -> list[tuple[int, ...]]:
-    """A second point on each of the q+1 lines of a plane through a point.
-
-    The pencil is indexed by P^1 over pencil_basis (e0, e1), as e0 + t*e1
-    for each field code t, then e1.  The points are not normalized.
-    """
-    f = plane.field
-    e0, e1 = pencil_basis(plane, coords)
-    out = [tuple(f.add(a, f.mul(t, b)) for a, b in zip(e0, e1)) for t in f.elements()]
-    out.append(e1)
-    return out
-
-
-def lines_in_plane_through(plane: Plane3, point: ProjPoint) -> list[Line3]:
-    """The q+1 lines of a plane through one of its points, in the order of
-    pencil_second_points."""
-    if not plane.contains(point):
-        raise ValueError("point does not lie in the plane")
-    return [
-        line_through(point, ProjPoint(plane.field, second))
-        for second in pencil_second_points(plane, point.coords)
-    ]

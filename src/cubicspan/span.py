@@ -17,9 +17,9 @@ The preprocessing runs on the field's flat add/mul/neg tables
 (ExtField.flat_tables).  A secant that meets the surface in three distinct
 points is solved once, from whichever of its pairs comes first, and fills
 all three pair entries.  The tangent pencil at a point P is one line of
-second points e0 + t*e1 (then e1): F and sum_m P_m dF/dx_m are restricted
-to it once, and each pencil line reads its two coefficients off those
-polynomials by Horner's rule in t.
+second points e0 + t*e1 (then e1): surface.tangent_pencil restricts F and
+sum_m P_m dF/dx_m to it once, and each pencil line reads its two
+coefficients off those polynomials by Horner's rule in t.
 """
 
 from __future__ import annotations
@@ -36,12 +36,13 @@ from .errors import (
     HypothesisFailed,
     PointNotOnSurface,
 )
-from .projgeo import Line3, Plane3, ProjPoint, pencil_basis, skew
+from .projgeo import Line3, ProjPoint, skew
 from .surface import (
     CubicForm,
     PointKind,
     classify_point,
     lines_on_surface,
+    tangent_pencil,
     zero_points,
 )
 
@@ -65,8 +66,10 @@ class SpanTable:
     the entries of all three pairs; when k is i or j the line is tangent
     there and only the pair (i, j) is filled.  tangent_thirds[i] lists the
     third points of the non-contained tangent lines at point i, in the
-    order of projgeo.pencil_second_points; an entry equal to i itself
-    records an asymptotic line.
+    order of the pencil from surface.tangent_pencil: the line through
+    e0 + t*e1 for each field code t, then the line through e1 (e0 and e1
+    from projgeo.pencil_basis); an entry equal to i itself records an
+    asymptotic line.
     """
 
     __slots__ = ("form", "points", "index", "pair_third", "tangent_thirds")
@@ -134,17 +137,8 @@ class SpanTable:
         for i in range(n):
             u = coords[i]
             u0, u1, u2, u3 = u
-            e0, e1 = pencil_basis(Plane3(f, grads[i]), u)
             # F and sum_m u_m dF/dx_m along e0 + t*e1, ascending in t
-            a0, a1, a2, a3 = form.restrict_to_line(e0, e1)
-            d0 = d1 = d2 = 0
-            for m in range(4):
-                if u[m]:
-                    s = u[m] * q
-                    b0, b1, b2 = form.partial_on_line(m, e0, e1)
-                    d0 = add[d0 * q + mul[s + b0]]
-                    d1 = add[d1 * q + mul[s + b1]]
-                    d2 = add[d2 * q + mul[s + b2]]
+            e0, e1, (a0, a1, a2, a3), (d0, d1, d2) = tangent_pencil(form, u, grads[i])
             f0, f1, f2, f3 = e0
             x0, x1, x2, x3 = (c * q for c in e1)
             thirds = []

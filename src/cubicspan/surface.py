@@ -40,8 +40,8 @@ from .projgeo import (
     Line3,
     Plane3,
     ProjPoint,
-    line_through,
     normalize,
+    pencil_basis,
     rank,
 )
 
@@ -107,10 +107,6 @@ def _mono_indices(mono: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _dict_terms(poly: dict) -> list[tuple[object, tuple[int, ...]]]:
-    return [(c, _mono_indices(mono)) for mono, c in poly.items()]
-
-
 def _evaluate_terms(field, terms, coords):
     """The value of sum c * x_i x_j ... at a point."""
     if field is None:
@@ -144,20 +140,27 @@ def _restrict_terms_to_line(field, terms, u, v) -> list:
 
     Each term is a product of linear forms u_i s + v_i t, multiplied out in
     closed form: the first two make a quadratic and a third factor, when the
-    term has one, raises it to a cubic.  Integer and field coefficients take
-    the same path.  The result always has four entries; a quadratic leaves
-    the last at zero.
+    term has one, raises it to a cubic.  A term with a factor that vanishes
+    on the whole line (u_i = v_i = 0) is skipped.  Integer and field
+    coefficients take the same path.  The result always has four entries;
+    a quadratic leaves the last at zero.
     """
     add, mul = _ops(field)
     c0 = c1 = c2 = c3 = 0
     for c, idxs in terms:
         i, j = idxs[0], idxs[1]
         a1, b1, a2, b2 = u[i], v[i], u[j], v[j]
+        if not (a1 or b1) or not (a2 or b2):
+            continue
+        third = len(idxs) == 3
+        if third:
+            a3, b3 = u[idxs[2]], v[idxs[2]]
+            if not (a3 or b3):
+                continue
         p0 = mul(a1, a2)
         p1 = add(mul(a1, b2), mul(b1, a2))
         p2 = mul(b1, b2)
-        if len(idxs) == 3:
-            a3, b3 = u[idxs[2]], v[idxs[2]]
+        if third:
             p0, p1, p2, p3 = (
                 mul(p0, a3),
                 add(mul(p0, b3), mul(p1, a3)),
@@ -565,13 +568,13 @@ def _singular_point_on_line(form: CubicForm, line: Line3):
         g = univariate_gcd(f, g, form.partial_on_line(i, u, v))
     if len(g) != 3 or solve_quadratic(f, g[2], g[1], g[0]):
         return None
-    ext, _emb, lifted = _quadratic_lift(f, g, u, v)
+    ext, lifted = _quadratic_lift(f, g, u, v)
     return (2, normalize(ext, lifted[0][0]))
 
 
 def _quadratic_lift(field: ExtField, quad: Sequence[int], u: Sequence[int], v: Sequence[int]):
-    """The quadratic extension, the embedding into it, and (u + t*v, multiplicity)
-    for each root t of quad[0] + quad[1] t + quad[2] t^2 there, by root code."""
+    """The quadratic extension and (u + t*v, multiplicity) for each root t of
+    quad[0] + quad[1] t + quad[2] t^2 there, by root code."""
     ext = make_extension(field.p, 2 * field.k)
     emb = embedding(field, ext)
     ue = [emb(c) for c in u]
@@ -580,7 +583,7 @@ def _quadratic_lift(field: ExtField, quad: Sequence[int], u: Sequence[int], v: S
         (tuple(ext.add(a, ext.mul(t, b)) for a, b in zip(ue, ve)), mult)
         for t, mult in solve_quadratic(ext, emb(quad[2]), emb(quad[1]), emb(quad[0]))
     ]
-    return ext, emb, points
+    return ext, points
 
 
 # -- line-surface intersection ------------------------------------------
@@ -607,10 +610,6 @@ class IntersectionDivisor:
     contained: bool
     entries: tuple[DivisorEntry, ...]
     unresolved: tuple[tuple[int, int], ...]
-
-    @property
-    def rational_entries(self) -> tuple[DivisorEntry, ...]:
-        return tuple(e for e in self.entries if e.degree == 1)
 
     @property
     def fully_rational(self) -> bool:
@@ -643,51 +642,56 @@ def intersect_line(form: CubicForm, line: Line3, resolve: bool = True) -> Inters
     unresolved: list[tuple[int, int]] = []
     if cr.extension_roots:
         if cr.extension_degree == 2 and resolve:
-            ext, _emb, lifted = _quadratic_lift(f, cr.leftover, u, v)
+            ext, lifted = _quadratic_lift(f, cr.leftover, u, v)
             entries.extend(DivisorEntry(ProjPoint(ext, c), mult, 2) for c, mult in lifted)
         else:
             unresolved.append((cr.extension_degree, cr.extension_roots))
     return IntersectionDivisor(line, False, tuple(entries), tuple(unresolved))
 
 
-# -- the curves cut by tangent planes -----------------------------------
+# -- the tangent pencil and point classification ------------------------
 
 
-class GammaType(Enum):
-    """Decomposition over the algebraic closure of a tangent-plane section."""
+def tangent_pencil(form: CubicForm, coords: Sequence[int], grad: Sequence[int]):
+    """The tangent lines at a smooth surface point u as one pencil.
 
-    THREE_LINES = "three-lines"
-    CONIC_PLUS_LINE = "conic-plus-line"
-    IRREDUCIBLE_NODAL = "irreducible-nodal"
-    IRREDUCIBLE_CUSPIDAL = "irreducible-cuspidal"
+    Returns (e0, e1, cubic, cone).  (e0, e1) is projgeo.pencil_basis of the
+    tangent plane at u, so the tangent lines are the lines through u and
+    w = s*e0 + t*e1.  cubic is F restricted to w and cone is
+    sum_m u_m dF/dx_m restricted to w, both as coefficient tuples
+    s-degree first.  Since F(u) = 0 and grad F(u).w = 0,
+
+        F(lam*u + mu*w) = mu^2 * (lam * cone(w) + mu * cubic(w)),
+
+    so the tangent line through w is inside the surface when both vanish,
+    meets it to order three at u when only cone does, and otherwise meets
+    it again at cubic(w)*u - cone(w)*w.  cone is accumulated with the
+    field's methods, so the kernel also works above the flat-table limit.
+    """
+    f = form.field
+    e0, e1 = pencil_basis(Plane3(f, grad), coords)
+    cubic = form.restrict_to_line(e0, e1)
+    add, mul = f.add, f.mul
+    cone = (0, 0, 0)
+    for m, x in enumerate(coords):
+        if x:
+            part = form.partial_on_line(m, e0, e1)
+            cone = tuple(add(c, mul(x, b)) for c, b in zip(cone, part))
+    return e0, e1, cubic, cone
+
+
+class PointKind(Enum):
+    ECKARDT = "eckardt"
+    PARABOLIC = "parabolic"  # parabolic and not Eckardt
+    HYPERBOLIC = "hyperbolic"
+    ELLIPTIC = "elliptic"
 
 
 @dataclass(frozen=True)
-class GammaCurve:
-    """The plane cubic cut on the surface by the tangent plane at a point.
-
-    The curve is expressed in coordinates on the tangent plane through the
-    three basis vectors; base_point is the distinguished (singular) point in
-    those coordinates.  tangent_cone is (A, B, C) for A s^2 + B st + C t^2
-    in the local frame whose directions map to local_directions in P^3.
-    singularity names the tangent-cone root pattern at the base point:
-    "node" for two distinct directions, "cusp" for one double direction,
-    "triple" when the quadratic part vanishes identically.
-    """
-
-    plane: Plane3
-    basis: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    cubic: dict
-    base_point: tuple[int, int, int]
-    tangent_cone: tuple[int, int, int]
-    cone_roots: tuple[tuple[tuple[int, int], int], ...]
-    cone_extension_roots: int
-    cubic_tail: tuple[int, int, int, int]
-    local_directions: tuple[tuple[int, ...], tuple[int, ...]]
-    decomposition: GammaType
-    singularity: str
-    lines_through_base: tuple[Line3, ...]
-    closure_lines_through_base: int
+class PointClass:
+    kind: PointKind
+    ternary: bool
+    line_count: int  # lines of the surface through the point, over the closure
 
 
 def _binary_quadratic_roots(field: ExtField, a: int, b: int, c: int):
@@ -706,134 +710,45 @@ def _binary_quadratic_roots(field: ExtField, a: int, b: int, c: int):
     return [((1, t), mult) for t, mult in sol], 2 - sum(m for _, m in sol)
 
 
-def _curve_contains_line(field, cubic_terms, pa, pb) -> bool:
-    """Whether the P^2 line through two plane points lies inside a ternary cubic."""
-    return not any(_restrict_terms_to_line(field, cubic_terms, pa, pb))
+def classify_point(form: CubicForm, point: ProjPoint) -> PointClass:
+    """Eckardt / parabolic / hyperbolic / elliptic type of a smooth point.
 
-
-def gamma_curve(form: CubicForm, point: ProjPoint) -> GammaCurve:
-    """The tangent-plane section at a smooth point, with its local analysis."""
+    Read off the tangent pencil (see tangent_pencil).  The tangent-plane
+    section is singular at the point with tangent cone `cone`, whose zeros
+    are the asymptotic directions.  cone = 0 makes every tangent line
+    asymptotic: a triple point, the Eckardt case, where the section is
+    three concurrent lines, one per distinct root of `cubic` over the
+    closure.  Otherwise the zeros of cone on P^1(F_q) decide the kind: none
+    (a conjugate pair) is elliptic, one double zero parabolic, two zeros
+    hyperbolic.  A line through the point lies on the surface exactly when
+    cone and cubic both vanish in its direction; for a conjugate pair that
+    means cone divides cubic, tested by their gcd over F_q.
+    """
     f = form.field
-    if form.evaluate(point.coords) != 0:
+    coords = point.coords
+    if form.evaluate(coords) != 0:
         raise PointNotOnSurface(f"{point} is not on the surface")
-    grad = form.gradient(point.coords)
+    grad = form.gradient(coords)
     if not any(grad):
         raise SingularPoint(f"gradient vanishes at {point}")
-    plane = Plane3(f, grad)
-    n = plane.covector
-    pivot = next(i for i, c in enumerate(n) if c)
-    others = [j for j in range(4) if j != pivot]
-    basis = []
-    for j in others:
-        vec = [0, 0, 0, 0]
-        vec[j] = 1
-        vec[pivot] = f.neg(f.div(n[j], n[pivot]))
-        basis.append(tuple(vec))
-    basis = tuple(basis)
-    cubic = form.restrict_to_plane(basis)
-    pp = normalize(f, tuple(point.coords[j] for j in others))
-    m = next(i for i, c in enumerate(pp) if c)
-    a_idx, b_idx = [i for i in range(3) if i != m]
-    ea = tuple(1 if i == a_idx else 0 for i in range(3))
-    eb = tuple(1 if i == b_idx else 0 for i in range(3))
-    cubic_terms = _dict_terms(cubic)
-    shifted = _substitute_linear(f, cubic_terms, (pp, ea, eb))
-    get = shifted.get
-    if get((3, 0, 0), 0) or get((2, 1, 0), 0) or get((2, 0, 1), 0):
-        raise RuntimeError("tangent-plane section is not singular at the base point")
-    cone = (get((1, 2, 0), 0), get((1, 1, 1), 0), get((1, 0, 2), 0))
-    tail = (get((0, 3, 0), 0), get((0, 2, 1), 0), get((0, 1, 2), 0), get((0, 0, 3), 0))
-    dirs = (basis[a_idx], basis[b_idx])
-
-    def plane_dir(s: int, t: int) -> tuple[int, int, int]:
-        return tuple(f.add(f.mul(s, x), f.mul(t, y)) for x, y in zip(ea, eb))
-
-    def line_from_dir(s: int, t: int) -> Line3:
-        second = [f.add(f.mul(s, x), f.mul(t, y)) for x, y in zip(dirs[0], dirs[1])]
-        return line_through(point, ProjPoint(f, second))
-
+    _e0, _e1, cubic, cone = tangent_pencil(form, coords, grad)
     if not any(cone):
-        # triple point: the section is three concurrent lines
-        cr = roots_of_cubic(f, tail)
-        lines = tuple(line_from_dir(s, t) for (s, t), _ in cr.rational)
-        closure = len(cr.rational) + cr.extension_roots
-        return GammaCurve(
-            plane, basis, cubic, pp, cone, (), 0, tail, dirs,
-            GammaType.THREE_LINES, "triple", lines, closure,
-        )
-
+        cr = roots_of_cubic(f, cubic)
+        return PointClass(PointKind.ECKARDT, True, len(cr.rational) + cr.extension_roots)
     roots, ext_count = _binary_quadratic_roots(f, *cone)
     if ext_count:
-        # conjugate direction pair: test one of the two lines over the
-        # quadratic extension; divisibility is Galois-stable
-        ext, emb, lifted = _quadratic_lift(f, cone, ea, eb)
-        terms_e = [(emb(c), idxs) for c, idxs in cubic_terms]
-        pp_e = tuple(emb(c) for c in pp)
-        if _curve_contains_line(ext, terms_e, pp_e, lifted[0][0]):
-            return GammaCurve(
-                plane, basis, cubic, pp, cone, tuple(roots), ext_count, tail, dirs,
-                GammaType.THREE_LINES, "node", (), 2,
-            )
-        return GammaCurve(
-            plane, basis, cubic, pp, cone, tuple(roots), ext_count, tail, dirs,
-            GammaType.IRREDUCIBLE_NODAL, "node", (), 0,
-        )
-
-    contained_dirs = [
-        (s, t) for (s, t), _ in roots if _curve_contains_line(f, cubic_terms, pp, plane_dir(s, t))
-    ]
-    lines = tuple(line_from_dir(s, t) for s, t in contained_dirs)
-    if len(roots) == 1:
-        # one double direction
-        if contained_dirs:
-            decomposition = GammaType.CONIC_PLUS_LINE
-        else:
-            decomposition = GammaType.IRREDUCIBLE_CUSPIDAL
-        return GammaCurve(
-            plane, basis, cubic, pp, cone, tuple(roots), 0, tail, dirs,
-            decomposition, "cusp", lines, len(lines),
-        )
-    if len(contained_dirs) == 2:
-        decomposition = GammaType.THREE_LINES
-    elif len(contained_dirs) == 1:
-        decomposition = GammaType.CONIC_PLUS_LINE
-    else:
-        decomposition = GammaType.IRREDUCIBLE_NODAL
-    return GammaCurve(
-        plane, basis, cubic, pp, cone, tuple(roots), 0, tail, dirs,
-        decomposition, "node", lines, len(lines),
-    )
-
-
-# -- point classification -----------------------------------------------
-
-
-class PointKind(Enum):
-    ECKARDT = "eckardt"
-    PARABOLIC = "parabolic"  # parabolic and not Eckardt
-    HYPERBOLIC = "hyperbolic"
-    ELLIPTIC = "elliptic"
-
-
-@dataclass(frozen=True)
-class PointClass:
-    kind: PointKind
-    ternary: bool
-    line_count: int  # lines of the surface through the point, over the closure
-
-
-def classify_point(form: CubicForm, point: ProjPoint) -> PointClass:
-    """Eckardt / parabolic / hyperbolic / elliptic type of a smooth point."""
-    gamma = gamma_curve(form, point)
-    if gamma.singularity == "triple":
-        kind = PointKind.ECKARDT
-    elif gamma.singularity == "cusp":
-        kind = PointKind.PARABOLIC
-    elif gamma.cone_extension_roots:
-        kind = PointKind.ELLIPTIC
-    else:
-        kind = PointKind.HYPERBOLIC
-    return PointClass(kind, kind is not PointKind.ELLIPTIC, gamma.closure_lines_through_base)
+        lines = 2 if len(univariate_gcd(f, cone, cubic)) == 3 else 0
+        return PointClass(PointKind.ELLIPTIC, False, lines)
+    add, mul = f.add, f.mul
+    c0, c1, c2, c3 = cubic
+    lines = 0
+    for (s, t), _mult in roots:
+        # cubic at (s, t), where s is 0 or 1
+        value = add(mul(add(mul(add(mul(c3, t), c2), t), c1), t), c0) if s else c3
+        if value == 0:
+            lines += 1
+    kind = PointKind.PARABOLIC if len(roots) == 1 else PointKind.HYPERBOLIC
+    return PointClass(kind, True, lines)
 
 
 def eckardt_points(form: CubicForm, candidates: Optional[Sequence[ProjPoint]] = None) -> list[ProjPoint]:

@@ -10,14 +10,21 @@ model.  The presentation oracle collects every generating sum at the
 point level before merging classes, and the generation oracle reads a
 full Smith form.
 
-The rest is geometry and arithmetic only the tests use: tangent planes,
-asymptotic lines, the Gauss map along a contained line, cube roots of
-unity, coordinates on a good line, and exact checks of the Smith
-transforms.
+The tangent-section oracle gamma_curve pulls the surface back to the
+tangent plane and re-expands it around the point, lifting conjugate
+asymptotic directions to GF(q^2); classify_point, which reads the same
+answer off the tangent pencil, is compared against it.
+
+The rest is geometry and arithmetic only the tests use: Plucker
+coordinates, line-plane meets, the pencil of lines of a plane through a
+point, tangent planes, asymptotic lines, the Gauss map along a contained
+line, cube roots of unity, coordinates on a good line, and exact checks
+of the Smith transforms.
 """
 
 import heapq
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -29,7 +36,13 @@ from cubicspan.errors import (
     PointNotOnSurface,
     SingularPoint,
 )
-from cubicspan.field import ExtField, make_extension, solve_quadratic
+from cubicspan.field import (
+    ExtField,
+    embedding,
+    make_extension,
+    roots_of_cubic,
+    solve_quadratic,
+)
 from cubicspan.hsgroup import ZPresentation, _identity, _snf_with_inverses
 from cubicspan.planecubic import (
     CurvePoint,
@@ -42,8 +55,10 @@ from cubicspan.projgeo import (
     Line3,
     Plane3,
     ProjPoint,
+    dot4,
     line_through,
-    lines_in_plane_through,
+    normalize,
+    pencil_basis,
     rank,
 )
 from cubicspan.reduction import (
@@ -63,10 +78,14 @@ from cubicspan.reduction import (
 from cubicspan.span import SpanTable
 from cubicspan.surface import (
     CubicForm,
+    PointClass,
     PointKind,
     _binary_quadratic_roots,
+    _mono_indices,
+    _quadratic_lift,
+    _restrict_terms_to_line,
+    _substitute_linear,
     classify_point,
-    gamma_curve,
 )
 
 
@@ -334,6 +353,57 @@ def _weierstrass_structure(p, pts) -> tuple[int, ...]:
     return (exponent,) if d1 == 1 else (d1, exponent)
 
 
+# -- projective geometry only the tests use -----------------------------
+
+
+def plucker(line: Line3) -> tuple[int, ...]:
+    """Normalized Plucker coordinates (p01, p02, p03, p12, p13, p23)."""
+    f = line.field
+    r0, r1 = line.rows
+    raw = [
+        f.sub(f.mul(r0[i], r1[j]), f.mul(r0[j], r1[i]))
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    ]
+    return normalize(f, raw)
+
+
+def meet(line: Line3, plane: Plane3) -> Union[ProjPoint, str]:
+    """Intersection with a plane: a point, or "contained"."""
+    f = line.field
+    a = dot4(f, plane.covector, line.rows[0])
+    b = dot4(f, plane.covector, line.rows[1])
+    if a == 0 and b == 0:
+        return "contained"
+    # solve a s + b t = 0
+    if a == 0:
+        return line.point_at(1, 0)
+    return line.point_at(f.neg(b), a)
+
+
+def pencil_second_points(plane: Plane3, coords: Sequence[int]) -> list[tuple[int, ...]]:
+    """A second point on each of the q+1 lines of a plane through a point.
+
+    The pencil is indexed by P^1 over pencil_basis (e0, e1), as e0 + t*e1
+    for each field code t, then e1.  The points are not normalized.
+    """
+    f = plane.field
+    e0, e1 = pencil_basis(plane, coords)
+    out = [tuple(f.add(a, f.mul(t, b)) for a, b in zip(e0, e1)) for t in f.elements()]
+    out.append(e1)
+    return out
+
+
+def lines_in_plane_through(plane: Plane3, point: ProjPoint) -> list[Line3]:
+    """The q+1 lines of a plane through one of its points, in the order of
+    pencil_second_points."""
+    if not plane.contains(point):
+        raise ValueError("point does not lie in the plane")
+    return [
+        line_through(point, ProjPoint(plane.field, second))
+        for second in pencil_second_points(plane, point.coords)
+    ]
+
+
 # -- surface geometry only the tests use --------------------------------
 
 
@@ -345,6 +415,162 @@ def tangent_plane(form: CubicForm, point: ProjPoint) -> Plane3:
     if not any(grad):
         raise SingularPoint(f"gradient vanishes at {point}")
     return Plane3(form.field, grad)
+
+
+class GammaType(Enum):
+    """Decomposition over the algebraic closure of a tangent-plane section."""
+
+    THREE_LINES = "three-lines"
+    CONIC_PLUS_LINE = "conic-plus-line"
+    IRREDUCIBLE_NODAL = "irreducible-nodal"
+    IRREDUCIBLE_CUSPIDAL = "irreducible-cuspidal"
+
+
+@dataclass(frozen=True)
+class GammaCurve:
+    """The plane cubic cut on the surface by the tangent plane at a point.
+
+    The curve is expressed in coordinates on the tangent plane through the
+    three basis vectors; base_point is the distinguished (singular) point in
+    those coordinates.  tangent_cone is (A, B, C) for A s^2 + B st + C t^2
+    in the local frame whose directions map to local_directions in P^3.
+    singularity names the tangent-cone root pattern at the base point:
+    "node" for two distinct directions, "cusp" for one double direction,
+    "triple" when the quadratic part vanishes identically.
+    """
+
+    plane: Plane3
+    basis: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    cubic: dict
+    base_point: tuple[int, int, int]
+    tangent_cone: tuple[int, int, int]
+    cone_roots: tuple[tuple[tuple[int, int], int], ...]
+    cone_extension_roots: int
+    cubic_tail: tuple[int, int, int, int]
+    local_directions: tuple[tuple[int, ...], tuple[int, ...]]
+    decomposition: GammaType
+    singularity: str
+    lines_through_base: tuple[Line3, ...]
+    closure_lines_through_base: int
+
+
+def _dict_terms(poly: dict) -> list[tuple[object, tuple[int, ...]]]:
+    return [(c, _mono_indices(mono)) for mono, c in poly.items()]
+
+
+def _curve_contains_line(field, cubic_terms, pa, pb) -> bool:
+    """Whether the P^2 line through two plane points lies inside a ternary cubic."""
+    return not any(_restrict_terms_to_line(field, cubic_terms, pa, pb))
+
+
+def gamma_curve(form: CubicForm, point: ProjPoint) -> GammaCurve:
+    """The tangent-plane section at a smooth point, with its local analysis."""
+    f = form.field
+    if form.evaluate(point.coords) != 0:
+        raise PointNotOnSurface(f"{point} is not on the surface")
+    grad = form.gradient(point.coords)
+    if not any(grad):
+        raise SingularPoint(f"gradient vanishes at {point}")
+    plane = Plane3(f, grad)
+    n = plane.covector
+    pivot = next(i for i, c in enumerate(n) if c)
+    others = [j for j in range(4) if j != pivot]
+    basis = []
+    for j in others:
+        vec = [0, 0, 0, 0]
+        vec[j] = 1
+        vec[pivot] = f.neg(f.div(n[j], n[pivot]))
+        basis.append(tuple(vec))
+    basis = tuple(basis)
+    cubic = form.restrict_to_plane(basis)
+    pp = normalize(f, tuple(point.coords[j] for j in others))
+    m = next(i for i, c in enumerate(pp) if c)
+    a_idx, b_idx = [i for i in range(3) if i != m]
+    ea = tuple(1 if i == a_idx else 0 for i in range(3))
+    eb = tuple(1 if i == b_idx else 0 for i in range(3))
+    cubic_terms = _dict_terms(cubic)
+    shifted = _substitute_linear(f, cubic_terms, (pp, ea, eb))
+    get = shifted.get
+    if get((3, 0, 0), 0) or get((2, 1, 0), 0) or get((2, 0, 1), 0):
+        raise RuntimeError("tangent-plane section is not singular at the base point")
+    cone = (get((1, 2, 0), 0), get((1, 1, 1), 0), get((1, 0, 2), 0))
+    tail = (get((0, 3, 0), 0), get((0, 2, 1), 0), get((0, 1, 2), 0), get((0, 0, 3), 0))
+    dirs = (basis[a_idx], basis[b_idx])
+
+    def plane_dir(s: int, t: int) -> tuple[int, int, int]:
+        return tuple(f.add(f.mul(s, x), f.mul(t, y)) for x, y in zip(ea, eb))
+
+    def line_from_dir(s: int, t: int) -> Line3:
+        second = [f.add(f.mul(s, x), f.mul(t, y)) for x, y in zip(dirs[0], dirs[1])]
+        return line_through(point, ProjPoint(f, second))
+
+    if not any(cone):
+        # triple point: the section is three concurrent lines
+        cr = roots_of_cubic(f, tail)
+        lines = tuple(line_from_dir(s, t) for (s, t), _ in cr.rational)
+        closure = len(cr.rational) + cr.extension_roots
+        return GammaCurve(
+            plane, basis, cubic, pp, cone, (), 0, tail, dirs,
+            GammaType.THREE_LINES, "triple", lines, closure,
+        )
+
+    roots, ext_count = _binary_quadratic_roots(f, *cone)
+    if ext_count:
+        # conjugate direction pair: test one of the two lines over the
+        # quadratic extension; divisibility is Galois-stable
+        ext, lifted = _quadratic_lift(f, cone, ea, eb)
+        emb = embedding(f, ext)
+        terms_e = [(emb(c), idxs) for c, idxs in cubic_terms]
+        pp_e = tuple(emb(c) for c in pp)
+        if _curve_contains_line(ext, terms_e, pp_e, lifted[0][0]):
+            return GammaCurve(
+                plane, basis, cubic, pp, cone, tuple(roots), ext_count, tail, dirs,
+                GammaType.THREE_LINES, "node", (), 2,
+            )
+        return GammaCurve(
+            plane, basis, cubic, pp, cone, tuple(roots), ext_count, tail, dirs,
+            GammaType.IRREDUCIBLE_NODAL, "node", (), 0,
+        )
+
+    contained_dirs = [
+        (s, t) for (s, t), _ in roots if _curve_contains_line(f, cubic_terms, pp, plane_dir(s, t))
+    ]
+    lines = tuple(line_from_dir(s, t) for s, t in contained_dirs)
+    if len(roots) == 1:
+        # one double direction
+        if contained_dirs:
+            decomposition = GammaType.CONIC_PLUS_LINE
+        else:
+            decomposition = GammaType.IRREDUCIBLE_CUSPIDAL
+        return GammaCurve(
+            plane, basis, cubic, pp, cone, tuple(roots), 0, tail, dirs,
+            decomposition, "cusp", lines, len(lines),
+        )
+    if len(contained_dirs) == 2:
+        decomposition = GammaType.THREE_LINES
+    elif len(contained_dirs) == 1:
+        decomposition = GammaType.CONIC_PLUS_LINE
+    else:
+        decomposition = GammaType.IRREDUCIBLE_NODAL
+    return GammaCurve(
+        plane, basis, cubic, pp, cone, tuple(roots), 0, tail, dirs,
+        decomposition, "node", lines, len(lines),
+    )
+
+
+def tangent_section_class(form: CubicForm, point: ProjPoint) -> PointClass:
+    """The point class read off gamma_curve: the singularity of the tangent
+    section gives the kind, and its contained lines the line count."""
+    gamma = gamma_curve(form, point)
+    if gamma.singularity == "triple":
+        kind = PointKind.ECKARDT
+    elif gamma.singularity == "cusp":
+        kind = PointKind.PARABOLIC
+    elif gamma.cone_extension_roots:
+        kind = PointKind.ELLIPTIC
+    else:
+        kind = PointKind.HYPERBOLIC
+    return PointClass(kind, kind is not PointKind.ELLIPTIC, gamma.closure_lines_through_base)
 
 
 @dataclass(frozen=True)

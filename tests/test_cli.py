@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from cubicspan.cli import build_parser, main
-from cubicspan.harness import ExperimentConfig
+from cubicspan.field import make_extension
+from cubicspan.harness import ExperimentConfig, random_smooth_surface
 from cubicspan.reduction import family_tag
+from cubicspan.surface import fermat_cubic, zero_points
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -69,6 +71,31 @@ def test_classify_fermat_coordinate_points(capsys):
         assert row["kind"] == "eckardt"
         assert row["ternary"] is True
         assert row["lines_through"] == 3
+
+
+#: SHA-256 of the stdout of `classify --json` with one --point per rational
+#: point, recorded while classify_point still built the tangent-plane section
+CLASSIFY_DIGESTS = [
+    (
+        ["--p", "5"],
+        lambda: fermat_cubic(make_extension(5, 1)),
+        "76f4c29fee5167d58c52b529c31d727c60809f1a66d8d3f8e632280250cedc50",
+    ),
+    (
+        ["--p", "2", "--k", "2", "--random", "--seed", "2"],
+        lambda: random_smooth_surface(make_extension(2, 2), 2),
+        "296780827731a79ab50497385b93cc6688cb241f93a3a2870f618b30c87cf161",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, make_form, digest", CLASSIFY_DIGESTS, ids=["fermat-gf5", "gf4-s2"])
+def test_classify_every_point_is_pinned(capsys, argv, make_form, digest):
+    points = []
+    for coords in zero_points(make_form()):
+        points += ["--point", ",".join(map(str, coords))]
+    assert main(["classify", *argv, *points, "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_classify_rejects_short_point(capsys):

@@ -21,14 +21,14 @@ from cubicspan.projgeo import ProjPoint
 from cubicspan.span import SpanTable
 from cubicspan.surface import (
     CubicForm,
-    GammaType,
     fermat_cubic,
-    gamma_curve,
     lines_on_surface,
 )
 
 from oracles import (
+    GammaType,
     bareiss_det,
+    gamma_curve,
     mat_mul,
     point_level_presentation,
     smith_difference_classes_generate,

@@ -15,7 +15,6 @@ from cubicspan.harness import random_smooth_surface
 from cubicspan.projgeo import (
     ProjPoint,
     line_through,
-    lines_in_plane_through,
     skew,
 )
 from cubicspan.span import (
@@ -38,7 +37,12 @@ from cubicspan.surface import (
     zero_points,
 )
 
-from oracles import asymptotic_lines, enumerate_lines, tangent_plane
+from oracles import (
+    asymptotic_lines,
+    enumerate_lines,
+    lines_in_plane_through,
+    tangent_plane,
+)
 
 F4 = make_extension(2, 2)
 F5 = make_extension(5, 1)

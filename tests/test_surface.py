@@ -13,37 +13,40 @@ from cubicspan.errors import (
     SingularPoint,
 )
 from cubicspan.field import embedding, make_extension
-from cubicspan.harness import random_cubic_form
+from cubicspan import surface
+from cubicspan.harness import random_cubic_form, random_smooth_surface
 from cubicspan.projgeo import (
     Line3,
     ProjPoint,
     line_through,
-    lines_in_plane_through,
     rref,
 )
 from cubicspan.surface import (
     MONOMIALS,
     CubicForm,
-    GammaType,
     PointKind,
     SmoothnessReport,
     classify_point,
     eckardt_points,
     fermat_cubic,
-    gamma_curve,
     intersect_line,
     is_smooth,
     lines_on_surface,
     surface_with_27_lines_over_f64,
+    tangent_pencil,
     zero_points,
 )
 
 from oracles import (
+    GammaType,
     asymptotic_lines,
     enumerate_point_tuples,
+    gamma_curve,
     gauss_on_line,
     groebner_smooth,
+    lines_in_plane_through,
     tangent_plane,
+    tangent_section_class,
 )
 
 F5 = make_extension(5, 1)
@@ -437,6 +440,68 @@ def test_classification_census_f5():
     })
 
 
+#: (p, k, seed) of the sampled surfaces the classifier is checked on; with
+#: the Fermat surfaces over GF(5), GF(8) and GF(13) they give every kind
+#: and every line count in characteristic 2, 3 and above
+ORACLE_DRAWS = [(2, 1, 1), (2, 2, 2), (2, 3, 3), (3, 2, 0), (13, 1, 4), (3, 3, 1)]
+
+
+def test_classify_point_matches_tangent_section_oracle():
+    forms = [fermat_cubic(make_extension(p, k)) for p, k in ((5, 1), (2, 3), (13, 1))]
+    forms += [random_smooth_surface(make_extension(p, k), seed) for p, k, seed in ORACLE_DRAWS]
+    seen = set()
+    for form in forms:
+        f = form.field
+        for coords in zero_points(form):
+            point = ProjPoint(f, coords)
+            cls = classify_point(form, point)
+            assert cls == tangent_section_class(form, point), (f.q, coords)
+            seen.add((min(f.p, 5), cls.kind, cls.line_count))
+    for char in (2, 3, 5):
+        assert {kind for c, kind, _ in seen if c == char} == set(PointKind)
+        assert {n for c, _, n in seen if c == char} == {0, 1, 2, 3}
+
+
+def test_classify_point_builds_no_extension_field(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("classify_point built an extension field")
+
+    monkeypatch.setattr(surface, "_quadratic_lift", refuse)
+    monkeypatch.setattr(surface, "make_extension", refuse)
+    form = fermat_cubic(F5)
+    kinds = Counter(classify_point(form, ProjPoint(F5, c)).kind for c in zero_points(form))
+    assert kinds[PointKind.ELLIPTIC] == 4
+
+
+@pytest.mark.parametrize("p, k, seed", [(7, 1, 4), (2, 2, 2), (3, 2, 0)])
+def test_tangent_pencil_identity(p, k, seed):
+    """F(lam*u + mu*w) = mu^2 (lam cone(w) + mu cubic(w)) on sampled tangent lines."""
+    f = make_extension(p, k)
+    form = random_smooth_surface(f, seed)
+    add, mul = f.add, f.mul
+    rng = random.Random(seed)
+
+    def at(coeffs, s, t):
+        acc = 0
+        for i, c in enumerate(coeffs):
+            term = c
+            for _ in range(len(coeffs) - 1 - i):
+                term = mul(term, s)
+            for _ in range(i):
+                term = mul(term, t)
+            acc = add(acc, term)
+        return acc
+
+    for u in zero_points(form):
+        e0, e1, cubic, cone = tangent_pencil(form, u, form.gradient(u))
+        for _ in range(3):
+            s, t, lam, mu = (rng.randrange(f.q) for _ in range(4))
+            w = [add(mul(s, a), mul(t, b)) for a, b in zip(e0, e1)]
+            x = [add(mul(lam, a), mul(mu, b)) for a, b in zip(u, w)]
+            rhs = mul(mul(mu, mu), add(mul(lam, at(cone, s, t)), mul(mu, at(cubic, s, t))))
+            assert form.evaluate(x) == rhs
+
+
 def test_classification_census_f7():
     form = fermat_cubic(F7)
     kinds = Counter(classify_point(form, ProjPoint(F7, c)).kind for c in zero_points(form))
@@ -581,6 +646,16 @@ def test_char2_eckardt_census():
         sum(1 for p in line.points() if p in eck_set) for line in lines
     )
     assert histogram == Counter({1: 24, 5: 3})
+
+
+def test_char2_classification_census_is_pinned():
+    ext = make_extension(2, 6)
+    lifted = surface_with_27_lines_over_f64().embed(ext)
+    classes = [classify_point(lifted, ProjPoint(ext, c)) for c in zero_points(lifted)]
+    assert Counter(c.kind.value for c in classes) == Counter(
+        {"hyperbolic": 3200, "elliptic": 1152, "parabolic": 180, "eckardt": 13}
+    )
+    assert Counter(c.line_count for c in classes) == Counter({0: 2912, 1: 1524, 2: 96, 3: 13})
 
 
 def test_char2_gauss_separability():
