@@ -70,9 +70,12 @@ class SpanTable:
     e0 + t*e1 for each field code t, then the line through e1 (e0 and e1
     from projgeo.pencil_basis); an entry equal to i itself records an
     asymptotic line.
+
+    spanning_lines is the number of lines a closure that reaches every
+    point examines, filled in by the first such closure (see closure).
     """
 
-    __slots__ = ("form", "points", "index", "pair_third", "tangent_thirds")
+    __slots__ = ("form", "points", "index", "pair_third", "tangent_thirds", "spanning_lines")
 
     def __init__(self, form: CubicForm, pair_budget: int = PAIR_TABLE_BUDGET):
         f = form.field
@@ -168,6 +171,7 @@ class SpanTable:
                 ))
             tangents.append(tuple(thirds))
         self.tangent_thirds = tangents
+        self.spanning_lines: Optional[int] = None
 
     def closure(self, seeds: Iterable[int], stop_when: Optional[set[int]] = None):
         """Grow a seed index set to its secant-tangent fixpoint.
@@ -176,7 +180,13 @@ class SpanTable:
         counts, lines examined).  stop_when, if given, is a set of indices;
         the run stops early once all of them are members.  Each unordered
         pair of members is examined exactly once, at the turn of whichever
-        point entered later.
+        point entered later, and each member's tangent lines once.
+
+        A fixpoint run (no stop_when) whose members are every point stops
+        there with the statistics of the full run: later turns add nothing,
+        and the full run examines every tangent entry and every pair with a
+        third point, half the off-diagonal entries of pair_third that are
+        not -1.  That count is table.spanning_lines.
         """
         n = len(self.points)
         table = self.pair_third
@@ -199,6 +209,12 @@ class SpanTable:
             new: list[int] = []
             added = 0
             for i in frontier:
+                if remaining is None and len(order) == n:
+                    if added:
+                        rounds.append(added)
+                    if self.spanning_lines is None:  # -1: the diagonal and contained secants
+                        self.spanning_lines = sum(map(len, tangents)) + (n * n - table.count(-1)) // 2
+                    return members, order, tuple(rounds), self.spanning_lines
                 base = i * n
                 for k in tangents[i]:
                     lines += 1
@@ -303,7 +319,6 @@ def verify_skew_singleton_span(
     if pair is None:
         pair = find_skew_pair(form)
     n = len(table.points)
-    full = set(range(n))
     checked = 0
     skipped = 0
     failures = []
@@ -317,7 +332,7 @@ def verify_skew_singleton_span(
                 skipped += 1
                 continue
             checked += 1
-            _, order, _, _ = table.closure([i], stop_when=full)
+            _, order, _, _ = table.closure([i])
             if len(order) != n:
                 failures.append(table.points[i])
     return SkewSingletonReport(pair, checked, skipped, not failures, tuple(failures))
@@ -386,13 +401,14 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
 
     lemma_a: Optional[bool] = None
     checked_a = 0
+    indices = {line: _line_point_indices(table, line) for line in lines}
     for line in lines:
-        targets = set(_line_point_indices(table, line))
+        targets = set(indices[line])
         for i in sorted(targets):
             if kind_of(i) is PointKind.ECKARDT:
                 continue
             checked_a += 1
-            _, order, _, _ = table.closure([i], stop_when=set(targets))
+            _, order, _, _ = table.closure([i], stop_when=targets)
             if not targets.issubset(order):
                 lemma_a = False
                 counterexample = (
@@ -412,8 +428,8 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
         if skew(l1, l2)
     ]
     for l1, l2 in skew_pairs:
-        idx1 = _line_point_indices(table, l1)
-        idx2 = _line_point_indices(table, l2)
+        idx1 = indices[l1]
+        idx2 = indices[l2]
         for src, dst in ((idx1, idx2), (idx2, idx1)):
             checked_b += 1
             _, order, _, _ = table.closure(src, stop_when=set(dst))
@@ -470,7 +486,6 @@ def minimal_generators(
     if table is None:
         table = SpanTable(form)
     n = len(table.points)
-    full = set(range(n))
     runs = 0
     for r in range(1, r_max + 1):
         level = comb(n, r)
@@ -480,7 +495,7 @@ def minimal_generators(
             )
         for combo in combinations(range(n), r):
             runs += 1
-            _, order, _, _ = table.closure(combo, stop_when=full)
+            _, order, _, _ = table.closure(combo)
             if len(order) == n:
                 return MinimalGenerators(
                     r, tuple(table.points[i] for i in combo), False, runs

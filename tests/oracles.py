@@ -15,6 +15,10 @@ tangent plane and re-expands it around the point, lifting conjugate
 asymptotic directions to GF(q^2); classify_point, which reads the same
 answer off the tangent pencil, is compared against it.
 
+The closure oracle reference_closure is SpanTable.closure without its
+stop at the point where a fixpoint run has reached every point: it reads
+every remaining turn, so it checks the statistics the fast path returns.
+
 The rest is geometry and arithmetic only the tests use: Plucker
 coordinates, line-plane meets, the pencil of lines of a plane through a
 point, tangent planes, asymptotic lines, the Gauss map along a contained
@@ -28,7 +32,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from cubicspan.errors import (
     BadPrime,
@@ -731,6 +735,67 @@ def verify_presentation(pres: ZPresentation) -> None:
         raise AssertionError("U inverse mismatch")
     if mat_mul(v, vinv) != _identity(len(v)):
         raise AssertionError("V inverse mismatch")
+
+
+def reference_closure(table: SpanTable, seeds: Iterable[int], stop_when: Optional[set[int]] = None):
+    """SpanTable.closure run to its end: no spanning run stops early.
+
+    Returns (member flags, members in insertion order, added-per-round
+    counts, lines examined).  stop_when, if given, is a set of indices;
+    the run stops early once all of them are members.  Each unordered
+    pair of members is examined exactly once, at the turn of whichever
+    point entered later.
+    """
+    n = len(table.points)
+    pair = table.pair_third
+    tangents = table.tangent_thirds
+    members = bytearray(n)
+    order: list[int] = []
+    position = [0] * n
+    for i in seeds:
+        if not members[i]:
+            members[i] = 1
+            position[i] = len(order)
+            order.append(i)
+    frontier = list(order)
+    rounds = [len(frontier)]
+    lines = 0
+    remaining = None
+    if stop_when is not None:
+        remaining = {i for i in stop_when if not members[i]}
+    while frontier and (remaining is None or remaining):
+        new: list[int] = []
+        added = 0
+        for i in frontier:
+            base = i * n
+            for k in tangents[i]:
+                lines += 1
+                if not members[k]:
+                    members[k] = 1
+                    position[k] = len(order)
+                    order.append(k)
+                    new.append(k)
+                    added += 1
+                    if remaining is not None:
+                        remaining.discard(k)
+            for j in order[: position[i]]:
+                k = pair[base + j]
+                if k >= 0:
+                    lines += 1
+                    if not members[k]:
+                        members[k] = 1
+                        position[k] = len(order)
+                        order.append(k)
+                        new.append(k)
+                        added += 1
+                        if remaining is not None:
+                            remaining.discard(k)
+            if remaining is not None and not remaining:
+                break
+        if added:
+            rounds.append(added)
+        frontier = new
+    return members, order, tuple(rounds), lines
 
 
 def point_level_presentation(table: SpanTable, lines: Sequence[Line3]) -> dict:

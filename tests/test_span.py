@@ -41,6 +41,7 @@ from oracles import (
     asymptotic_lines,
     enumerate_lines,
     lines_in_plane_through,
+    reference_closure,
     tangent_plane,
 )
 
@@ -49,6 +50,7 @@ F5 = make_extension(5, 1)
 F7 = make_extension(7, 1)
 F9 = make_extension(3, 2)
 F13 = make_extension(13, 1)
+F16 = make_extension(2, 4)
 
 # smooth over F_7, exactly one rational line (so no skew pair)
 ONE_LINE_F7 = {
@@ -309,6 +311,114 @@ def test_closure_rule_holds_against_every_line(fermat5_table):
             slots = list(cycle.elements())
             if sum(c in members for c in slots) >= 2:
                 assert all(c in members for c in slots)
+
+
+# Fermat surfaces, the one-line acceptance draw GF(7) seed 4 and the
+# skew-stock draw GF(16) seed 2
+ORACLE_SURFACES = {
+    "fermat5": lambda: fermat_cubic(F5),
+    "fermat13": lambda: fermat_cubic(F13),
+    "one_line_f7_seed4": lambda: random_smooth_surface(F7, 4),
+    "f16_seed2": lambda: random_smooth_surface(F16, 2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_SURFACES))
+def oracle_case(request):
+    form = ORACLE_SURFACES[request.param]()
+    table = SpanTable(form)
+    lines = [
+        sorted(table.index[p.coords] for p in line.points())
+        for line in lines_on_surface(form)
+    ]
+    assert lines
+    return table, lines
+
+
+def _closure_outputs(result):
+    members, order, rounds, lines = result
+    return bytes(members), list(order), rounds, lines
+
+
+def _assert_matches_reference(table, seeds, stop_when=None):
+    expected = reference_closure(table, seeds, stop_when=stop_when)
+    got = table.closure(seeds, stop_when=stop_when)
+    assert _closure_outputs(got) == _closure_outputs(expected)
+    return got
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_closure_matches_reference(oracle_case, data):
+    table, lines = oracle_case
+    n = len(table.points)
+    seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+    stop = data.draw(st.sampled_from(["none", "line", "all"]))
+    stop_when = None
+    if stop == "line":
+        stop_when = set(data.draw(st.sampled_from(lines)))
+    elif stop == "all":
+        stop_when = set(range(n))
+    _assert_matches_reference(table, seeds, stop_when)
+
+
+def test_closure_matches_reference_on_singletons_and_everything(oracle_case):
+    table, lines = oracle_case
+    form = table.form
+    n = len(table.points)
+    eckardt = [
+        i for i, p in enumerate(table.points)
+        if classify_point(form, p).kind is PointKind.ECKARDT
+    ]
+    for i in eckardt:
+        _, order, _, _ = _assert_matches_reference(table, [i])
+        assert len(order) < n  # an Eckardt singleton does not span
+    for i in range(0, n, max(1, n // 12)):
+        _assert_matches_reference(table, [i])
+        _assert_matches_reference(table, [i], stop_when=set(lines[0]))
+    _assert_matches_reference(table, lines[0])
+    _assert_matches_reference(table, range(n))
+    _assert_matches_reference(table, range(n), stop_when=set(range(n)))
+
+
+@pytest.mark.parametrize("make_form", [
+    lambda: fermat_cubic(F5),
+    lambda: fermat_cubic(F13),
+], ids=["fermat5", "fermat13"])
+def test_spanning_line_count_matches_brute_force(make_form):
+    table = SpanTable(make_form())
+    assert table.spanning_lines is None  # filled by the first spanning run
+    n = len(table.points)
+    pairs = table.pair_third
+    expected = sum(len(t) for t in table.tangent_thirds) + sum(
+        1 for i in range(n) for j in range(i + 1, n) if pairs[i * n + j] >= 0
+    )
+    _, order, _, lines = table.closure(range(n))
+    assert len(order) == n
+    assert lines == expected == table.spanning_lines
+
+
+class _UnreadablePairs:
+    """A stand-in for pair_third that fails on any entry read."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"pair entry {key} read")
+
+
+def test_closure_of_every_point_reads_no_pair():
+    table = SpanTable(fermat_cubic(F5))
+    n = len(table.points)
+    pairs = table.pair_third
+    expected = sum(len(t) for t in table.tangent_thirds) + sum(
+        1 for i in range(n) for j in range(i + 1, n) if pairs[i * n + j] >= 0
+    )
+    assert table.closure(range(n))[2:] == ((n,), expected)
+    table.pair_third = _UnreadablePairs()
+    members, order, rounds, lines = table.closure(range(n))
+    assert bytes(members) == b"\x01" * n
+    assert order == list(range(n))
+    assert rounds == (n,)
+    assert lines == expected
 
 
 def test_span_closure_rejects_off_surface_point(fermat5_table):
