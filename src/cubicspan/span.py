@@ -182,11 +182,12 @@ class SpanTable:
         pair of members is examined exactly once, at the turn of whichever
         point entered later, and each member's tangent lines once.
 
-        A fixpoint run (no stop_when) whose members are every point stops
-        there with the statistics of the full run: later turns add nothing,
-        and the full run examines every tangent entry and every pair with a
-        third point, half the off-diagonal entries of pair_third that are
-        not -1.  That count is table.spanning_lines.
+        A fixpoint run (no stop_when) stops at the first turn at which every
+        point is a member, with the statistics of the full run: later turns
+        add nothing, and a full run that reaches every point examines every
+        tangent entry and each pair entry that is not -1 once per unordered
+        pair.  That constant is self.spanning_lines, computed by the first
+        such run; seeds that already cover the surface read no entry.
         """
         n = len(self.points)
         table = self.pair_third

@@ -337,7 +337,7 @@ def oracle_case(request):
 
 def _closure_outputs(result):
     members, order, rounds, lines = result
-    return bytes(members), list(order), rounds, lines
+    return bytes(members), order, rounds, lines
 
 
 def _assert_matches_reference(table, seeds, stop_when=None):
@@ -381,6 +381,15 @@ def test_closure_matches_reference_on_singletons_and_everything(oracle_case):
     _assert_matches_reference(table, range(n), stop_when=set(range(n)))
 
 
+def _brute_force_spanning_lines(table):
+    """Tangent entries plus the pairs i < j whose secant has a third point."""
+    n = len(table.points)
+    pairs = table.pair_third
+    return sum(len(t) for t in table.tangent_thirds) + sum(
+        1 for i in range(n) for j in range(i + 1, n) if pairs[i * n + j] >= 0
+    )
+
+
 @pytest.mark.parametrize("make_form", [
     lambda: fermat_cubic(F5),
     lambda: fermat_cubic(F13),
@@ -389,10 +398,7 @@ def test_spanning_line_count_matches_brute_force(make_form):
     table = SpanTable(make_form())
     assert table.spanning_lines is None  # filled by the first spanning run
     n = len(table.points)
-    pairs = table.pair_third
-    expected = sum(len(t) for t in table.tangent_thirds) + sum(
-        1 for i in range(n) for j in range(i + 1, n) if pairs[i * n + j] >= 0
-    )
+    expected = _brute_force_spanning_lines(table)
     _, order, _, lines = table.closure(range(n))
     assert len(order) == n
     assert lines == expected == table.spanning_lines
@@ -408,10 +414,7 @@ class _UnreadablePairs:
 def test_closure_of_every_point_reads_no_pair():
     table = SpanTable(fermat_cubic(F5))
     n = len(table.points)
-    pairs = table.pair_third
-    expected = sum(len(t) for t in table.tangent_thirds) + sum(
-        1 for i in range(n) for j in range(i + 1, n) if pairs[i * n + j] >= 0
-    )
+    expected = _brute_force_spanning_lines(table)
     assert table.closure(range(n))[2:] == ((n,), expected)
     table.pair_third = _UnreadablePairs()
     members, order, rounds, lines = table.closure(range(n))
