@@ -64,7 +64,8 @@ FAMILY_SPRIME = "Sprime_M"
 #: quotient modulus used by each family
 FAMILY_MODULUS = {tag: fam.modulus for tag, fam in FAMILIES.items()}
 
-#: cap on the (2H+1)^2 outer search volume of point_search
+#: cap on the height of point_search, which holds all (H+1)(2H+1) cube
+#: sums x^3 + y^3 with y >= x while it searches
 MAX_SEARCH_HEIGHT = 1000
 
 
@@ -560,15 +561,23 @@ def verify_line_relation(
 def point_search(family: str, m: int, height: int) -> list[SurfacePoint]:
     """All primitive points with coordinates bounded by the height.
 
-    Meet-in-the-middle on x^3 + y^3: the (z, w) side determines the
-    required cube sum, looked up in a table of all bounded pairs.  On S_M
-    the M term carries a factor z, so the slice z = 0 is exactly the
-    contained line x + y = z = 0; it is written down in closed form,
-    (0, 0, 0, 1) and (a, -a, 0, w) with gcd(a, w) = 1, and the table
-    lookup skips it.  Output is projectively deduplicated and
-    lexicographically sorted.
+    Meet-in-the-middle on x^3 + y^3 = -(z^3 + M*z*w^2) (S_M) or
+    -(z^3 + M*w^3) (Sprime_M).  One row of cube sums x^3 + y^3, y >= x, is
+    built per x and all of them go into one set.  For each z the sums the
+    (z, w) side needs are intersected with that set in one C-level call, so
+    only the hits are looked at in Python and sums out of range drop out
+    by themselves.  A second pass over the rows that meet a hit key
+    recovers the pairs (x, y).  The rows and the set are dropped before
+    any output point is built.  On S_M the M term carries a factor z, so
+    the slice z = 0 is exactly the contained line x + y = z = 0; it is
+    written down in closed form, (0, 0, 0, 1) and (a, -a, 0, w) with
+    gcd(a, w) = 1, and the search skips it.  Output is projectively
+    deduplicated and lexicographically sorted.  M = 0 gives the cone
+    x^3 + y^3 + z^3 = 0 and raises ``HypothesisFailed``.
     """
     family = family_tag(family)
+    if m == 0:
+        raise HypothesisFailed("M = 0 gives the singular cone x^3 + y^3 + z^3 = 0")
     if height < 1:
         raise ValueError("height must be positive")
     if height > MAX_SEARCH_HEIGHT:
@@ -576,25 +585,30 @@ def point_search(family: str, m: int, height: int) -> list[SurfacePoint]:
             f"height {height} exceeds the search cap {MAX_SEARCH_HEIGHT}"
         )
     h = height
-    cube = {i: i ** 3 for i in range(-h, h + 1)}
-    pair_sums: dict[int, list[tuple[int, int]]] = {}
-    for x in range(-h, h + 1):
-        cx = cube[x]
-        for y in range(x, h + 1):
-            pair_sums.setdefault(cx + cube[y], []).append((x, y))
-    bound = 2 * h ** 3
-    seen = set()
+    vals = list(range(-h, h + 1))
+    cubes = [v ** 3 for v in vals]
+    # rows[i] holds x^3 + y^3 for x = i - h and every y >= x
+    rows = [[cx + cy for cy in cubes[i:]] for i, cx in enumerate(cubes)]
+    sums = set().union(*rows)
     is_s = family == FAMILY_S
-    for z in range(-h, h + 1):
+    terms = [w * w for w in vals] if is_s else cubes
+    wanted: dict[int, list[tuple[int, int]]] = {}
+    for z, cz in zip(vals, cubes):
         if is_s and z == 0:
             continue
-        cz = cube[z]
-        for w in range(-h, h + 1):
-            tail = cz + (m * z * w * w if is_s else m * cube[w])
-            k = -tail
-            if k < -bound or k > bound:
-                continue
-            for x, y in pair_sums.get(k, ()):
+        scale = m * z if is_s else m
+        need = [-cz - scale * t for t in terms]
+        hit = sums.intersection(need)
+        if hit:
+            for w, k in zip(vals, need):
+                if k in hit:
+                    wanted.setdefault(k, []).append((z, w))
+    root = dict(zip(cubes, vals))
+    seen = set()
+    for x, cx, row in zip(vals, cubes, rows):
+        for k in wanted.keys() & row:
+            y = root[k - cx]
+            for z, w in wanted[k]:
                 for c in ((x, y, z, w), (y, x, z, w)):
                     if not any(c):
                         continue
@@ -604,13 +618,13 @@ def point_search(family: str, m: int, height: int) -> list[SurfacePoint]:
                     if next(v for v in c if v) < 0:
                         c = tuple(-v for v in c)
                     seen.add(c)
+    del rows, sums
     found = sorted(seen)
     if not is_s:
         return [SurfacePoint(family, m, c) for c in found]
     # The line points with prefix (a, -a, 0) form one contiguous run of
     # the sorted output; splice each run in where it sorts.  One w list
     # and one -a per run let the line's points share their ints.
-    ws = list(range(-h, h + 1))
     out = []
     start = 0
     for a in range(h + 1):
@@ -621,7 +635,7 @@ def point_search(family: str, m: int, height: int) -> list[SurfacePoint]:
         if a == 0:
             out.append(SurfacePoint(family, m, (0, 0, 0, 1)))
         else:
-            out.extend([SurfacePoint(family, m, (a, na, 0, w)) for w in ws if gcd(a, w) == 1])
+            out.extend([SurfacePoint(family, m, (a, na, 0, w)) for w in vals if gcd(a, w) == 1])
     out.extend([SurfacePoint(family, m, c) for c in found[start:]])
     return out
 

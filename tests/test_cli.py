@@ -224,6 +224,15 @@ def test_reduce_rejects_non_dividing_prime(capsys):
     assert code == 2
 
 
+def test_reduce_rejects_m_zero(capsys):
+    # M = 0 is the singular cone x^3 + y^3 + z^3 = 0
+    code = main(
+        ["reduce", "--family", "S_M", "--M", "0", "--p", "31", "--height", "3"]
+    )
+    assert code == 2
+    assert "M = 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "family,m,digest",
     [

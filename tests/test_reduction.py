@@ -1,5 +1,6 @@
 """Tests for surface-point reduction, line relations, and the rank pipeline."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -419,6 +420,13 @@ def test_point_search_budget():
         point_search(FAMILY_S, 31, 0)
 
 
+@pytest.mark.parametrize("family", [FAMILY_S, FAMILY_SPRIME])
+def test_point_search_rejects_m_zero(family):
+    # M = 0 leaves the singular cone x^3 + y^3 + z^3 = 0
+    with pytest.raises(HypothesisFailed, match="M = 0"):
+        point_search(family, 0, 3)
+
+
 def test_coverage(pts31):
     cov = reduction_coverage(pts31, 31)
     assert cov.total == 36
@@ -488,10 +496,24 @@ def test_rank_bound_checks_m_against_its_convention(pts31, pts93):
 @pytest.mark.parametrize(
     "family,m,height",
     [(FAMILY_S, 31, h) for h in (1, 2, 3, 17, 120)]
-    + [(FAMILY_S, 1333, 40), (FAMILY_SPRIME, 93, 40)],
+    + [(FAMILY_S, 1333, 40), (FAMILY_SPRIME, 93, 40)]
+    # z = -2w needs the sum 0, which every pair x = -y shares
+    + [(FAMILY_SPRIME, 8, 30), (FAMILY_SPRIME, 27, 25)]
+    + [(FAMILY_S, -31, 20), (FAMILY_SPRIME, -93, 20), (FAMILY_SPRIME, 93, 200)],
 )
 def test_point_search_matches_the_full_search(family, m, height):
     assert point_search(family, m, height) == full_point_search(family, m, height)
+
+
+def test_point_search_drops_its_table_before_the_output():
+    tracemalloc.start()
+    try:
+        pts = point_search(FAMILY_S, 31, 200)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == 49610
+    assert peak <= 1.5 * kept
 
 
 def test_contained_line_points_share_their_ints():
