@@ -64,8 +64,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
     Trial division by 2, 3 and then 6k +- 1.  Dividing out each prime as it
     is found keeps the trial bound at the square root of the unfactored
-    part, which matters because the reduction code factors integers up to
-    about 10^11.
+    part.
     """
     factors: list[tuple[int, int]] = []
     for p in (2, 3):

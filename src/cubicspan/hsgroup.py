@@ -98,13 +98,6 @@ class _SnfWorkspace:
             row[c1], row[c2] = row[c2], row[c1]
         self.vinv[c1], self.vinv[c2] = self.vinv[c2], self.vinv[c1]
 
-    def negate_col(self, c: int) -> None:
-        for row in self.a:
-            row[c] = -row[c]
-        for row in self.v:
-            row[c] = -row[c]
-        self.vinv[c] = [-x for x in self.vinv[c]]
-
     def add_col(self, c1: int, c2: int, k: int) -> None:
         """col c1 += k * col c2"""
         if k == 0:

@@ -98,22 +98,25 @@ def curve_points(p: int) -> tuple[CurvePoint, ...]:
     return tuple(out)
 
 
-def third_point(a: CurvePoint, b: CurvePoint) -> CurvePoint:
-    """The residual intersection of the line through a and b (tangent when
-    a = b) with the curve."""
+def _third_coords(a: CurvePoint, b: CurvePoint) -> tuple[int, int, int]:
+    """Reduced, not yet normalized coordinates of the third point of a, b."""
     p = a.p
     if b.p != p:
         raise ValueError("points live over different primes")
     x1, y1, z1 = a.coords
     if a.coords == b.coords:
         u, v, w = x1 * x1 * x1, y1 * y1 * y1, z1 * z1 * z1
-        return _normalized(p, (x1 * (v - w) % p, y1 * (w - u) % p, z1 * (u - v) % p))
+        return x1 * (v - w) % p, y1 * (w - u) % p, z1 * (u - v) % p
     x2, y2, z2 = b.coords
     c1 = x1 * x1 * x2 + y1 * y1 * y2 + z1 * z1 * z2
     c2 = x2 * x2 * x1 + y2 * y2 * y1 + z2 * z2 * z1
-    return _normalized(
-        p, ((c2 * x1 - c1 * x2) % p, (c2 * y1 - c1 * y2) % p, (c2 * z1 - c1 * z2) % p)
-    )
+    return (c2 * x1 - c1 * x2) % p, (c2 * y1 - c1 * y2) % p, (c2 * z1 - c1 * z2) % p
+
+
+def third_point(a: CurvePoint, b: CurvePoint) -> CurvePoint:
+    """The residual intersection of the line through a and b (tangent when
+    a = b) with the curve."""
+    return _normalized(a.p, _third_coords(a, b))
 
 
 def group_neg(a: CurvePoint) -> CurvePoint:
@@ -124,8 +127,10 @@ def group_neg(a: CurvePoint) -> CurvePoint:
 
 
 def group_add(a: CurvePoint, b: CurvePoint) -> CurvePoint:
-    """The chord-tangent sum with identity O: -(third point of a and b)."""
-    return group_neg(third_point(a, b))
+    """The chord-tangent sum with identity O: -(third point of a and b),
+    with the negation's swap done before the one normalization."""
+    x, y, z = _third_coords(a, b)
+    return _normalized(a.p, (y, x, z))
 
 
 def group_mul(a: CurvePoint, k: int) -> CurvePoint:

@@ -34,7 +34,6 @@ from .errors import (
     AllZero,
     BadPrime,
     BudgetExceeded,
-    ConstantsUnavailable,
     EqualPoints,
     FamilyMismatch,
     HypothesisFailed,
@@ -43,8 +42,8 @@ from .errors import (
     NotPrime,
     PrimeConditionFailed,
 )
-from .field import factorize, is_prime, make_extension
-from .hsgroup import _xgcd, snf_with_transforms
+from .field import is_prime, make_extension
+from .hsgroup import _xgcd
 from .planecubic import (
     CurvePoint,
     PicClass,
@@ -215,18 +214,30 @@ def _hnf_pair(r0: Sequence[int], r1: Sequence[int]) -> tuple[tuple[int, ...], tu
 def good_parametrization(p_coords: Iterable[int], q_coords: Iterable[int]) -> GoodLineParam:
     """Saturated integer basis for the line through two rational points.
 
-    The stacked 2x4 matrix is put in Smith form; dividing out the two
-    elementary divisors leaves the saturation, which is then Hermite
-    reduced for a deterministic basis.
+    p is primitive, so a Bezout vector c with c.p = 1 exists and the
+    saturation has a basis (p, v) with c.v = 0.  Writing q = mu*p + g*v
+    gives mu = c.q, and g is the gcd of the 2x2 minors of (p, q), so
+    v = (q - mu*p)/g.  The basis is then Hermite reduced, which makes it
+    depend only on the line.
     """
     pu = _primitive4(p_coords)
     qu = _primitive4(q_coords)
     if pu == qu:
         raise EqualPoints("the two points coincide projectively")
-    _, _, d, _, vinv = snf_with_transforms([list(pu), list(qu)])
-    if d[1][1] == 0:
+    g = 0
+    for x in _minors2(pu, qu):
+        g = gcd(g, x)
+    if g == 0:
         raise EqualPoints("the two points coincide projectively")
-    u, v = _hnf_pair(vinv[0], vinv[1])
+    c = [0, 0, 0, 0]
+    d = 0
+    for i, x in enumerate(pu):
+        d, s, t = _xgcd(d, x)
+        c = [s * ci for ci in c]
+        c[i] = t
+    mu = sum(ci * qi for ci, qi in zip(c, qu))
+    v = [(qi - mu * pi) // g for pi, qi in zip(pu, qu)]
+    u, v = _hnf_pair(pu, v)
     minors = _minors2(u, v)
     g = 0
     for x in minors:
@@ -234,41 +245,6 @@ def good_parametrization(p_coords: Iterable[int], q_coords: Iterable[int]) -> Go
     if g != 1:
         raise AssertionError("saturation failed: basis minors share a factor")
     return GoodLineParam(u, v)
-
-
-def _divisors(x: int) -> list[int]:
-    """Positive divisors of the nonzero integer x, ascending."""
-    divs = [1]
-    for p, e in factorize(abs(x)):
-        block = divs
-        divs = []
-        power = 1
-        for _ in range(e + 1):
-            divs.extend(d * power for d in block)
-            power *= p
-    return sorted(divs)
-
-
-def _divide_primitive_root(poly: Sequence[int], a: int, b: int) -> list[int]:
-    """Exact division of an integer polynomial by (b*x - a), lowest-first.
-
-    Valid only when a/b is a root in lowest terms; every quotient step
-    then lands on an integer by the rational root theorem.
-    """
-    rev = list(poly[::-1])
-    out = [rev[0] // b]
-    for coef in rev[1:-1]:
-        out.append((coef + a * out[-1]) // b)
-    if rev[-1] + a * out[-1] != 0:
-        raise AssertionError("dividing by a non-root")
-    return out[::-1]
-
-
-# Sieve moduli for the rational root scan.  Any rational root a/b of the
-# primitive restriction polynomial reduces to a root mod q whenever q does
-# not divide b, so candidate pairs failing that test mod both primes can be
-# discarded without an exact evaluation.
-_FILTER_PRIMES = (101, 103)
 
 
 def _quadratic_pair(p0: int, p1: int, p2: int) -> Optional[list[tuple[int, int]]]:
@@ -287,64 +263,84 @@ def _quadratic_pair(p0: int, p1: int, p2: int) -> Optional[list[tuple[int, int]]
     return [(lo.denominator, lo.numerator), (hi.denominator, hi.numerator)]
 
 
-def _smallest_cubic_root(c: Sequence[int]) -> Optional[tuple[int, int]]:
-    """The rational root a/b of the primitive cubic c[0] + c[1]*tau +
-    c[2]*tau^2 + c[3]*tau^3 with smallest tau, or None.
+def _hensel_lift(c: Sequence[int], x: int, ell: int, bound: int) -> tuple[int, int]:
+    """Lift a simple root x of the cubic c mod ell to a root mod ell^K > bound.
 
-    a runs over signed divisors of c[0] and b over divisors of c[3]; the
-    full cross product is far too large to sort on tall lines, so pairs
-    are generated bucketed by the residue of a mod the first sieve prime
-    and only those matching a polynomial root survive to the second sieve
-    and the exact check.
+    Each Newton step squares the modulus, so the lift takes log2(K) steps.
     """
-    tables = []
-    for q in _FILTER_PRIMES:
-        cq = [x % q for x in c]
-        residue_roots = []
-        for t in range(q):
-            acc = 0
-            for x in reversed(cq):
-                acc = (acc * t + x) % q
-            if acc == 0:
-                residue_roots.append(t)
-        tables.append((q, residue_roots))
-    q1, roots1 = tables[0]
-    q2, roots2 = tables[1]
-    signed: list[int] = []
-    for a in _divisors(c[0]):
-        signed.append(a)
-        signed.append(-a)
-    buckets: dict[int, list[int]] = {}
-    for a in signed:
-        buckets.setdefault(a % q1, []).append(a)
-    survivors: list[tuple[int, int]] = []
-    for b in _divisors(c[-1]):
-        b1 = b % q1
-        if b1:
-            pool: list[int] = []
-            for t in roots1:
-                pool.extend(buckets.get(t * b1 % q1, ()))
-        else:
-            # q1 divides b, so the root reduces to tau = infinity mod q1
-            # and the sieve carries no information for this denominator.
-            pool = signed
-        b2 = b % q2
-        if b2:
-            allowed = {t * b2 % q2 for t in roots2}
-            pool = [a for a in pool if a % q2 in allowed]
-        survivors.extend((a, b) for a in pool if gcd(a, b) == 1)
-    survivors.sort(key=lambda st: Fraction(st[0], st[1]))
-    for a, b in survivors:
-        if sum(x * a ** k * b ** (3 - k) for k, x in enumerate(c)) == 0:
-            return a, b
-    return None
+    c0, c1, c2, c3 = c
+    mod = ell
+    while mod <= bound:
+        mod *= mod
+        f = ((c3 * x + c2) * x + c1) * x + c0
+        df = (3 * c3 * x + 2 * c2) * x + c1
+        x = (x - f * pow(df, -1, mod)) % mod
+    return x, mod
+
+
+def _rational_reconstruction(r: int, mod: int, bound: int) -> tuple[int, int]:
+    """(a, b) with a = b*r mod mod, |a| <= bound and b > 0.
+
+    The extended gcd of mod and r stops at its first remainder of size at
+    most bound.  Any a/b with a = b*r, |a| <= bound and 0 < b <= B is that
+    remainder and its cofactor, up to a common factor, once mod > 2*bound*B
+    (Wang, Guy & Davenport 1982).
+    """
+    r0, r1 = mod, r
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _cubic_roots(c: Sequence[int]) -> list[Fraction]:
+    """Rational roots, ascending, of c[0] + c[1]*tau + c[2]*tau^2 +
+    c[3]*tau^3 with c[0] and c[3] nonzero; repeated roots are listed with
+    their multiplicity."""
+    c0, c1, c2, c3 = c
+    disc = (
+        c1 * c1 * c2 * c2 - 4 * c0 * c2 ** 3 - 4 * c1 ** 3 * c3
+        - 27 * c0 * c0 * c3 * c3 + 18 * c0 * c1 * c2 * c3
+    )
+    if disc == 0:
+        d = c2 * c2 - 3 * c1 * c3
+        if d == 0:
+            return [Fraction(-c2, 3 * c3)] * 3
+        double = Fraction(9 * c3 * c0 - c1 * c2, 2 * d)
+        return sorted([double, double, Fraction(-c2, c3) - 2 * double])
+    # a root a/b in lowest terms has a | c0 and b | c3, so ell misses b and
+    # a/b is the lift of one of the simple roots mod ell
+    ell = 2
+    while c3 % ell == 0 or disc % ell == 0 or not is_prime(ell):
+        ell += 1
+    bound = abs(c0)
+    found = []
+    for x in range(ell):
+        if (((c3 * x + c2) * x + c1) * x + c0) % ell:
+            continue
+        r, mod = _hensel_lift(c, x, ell, 2 * bound * abs(c3))
+        a, b = _rational_reconstruction(r, mod, bound)
+        if (
+            b <= abs(c3)
+            and gcd(a, b) == 1
+            and c0 * b ** 3 + c1 * a * b * b + c2 * a * a * b + c3 * a ** 3 == 0
+        ):
+            found.append(Fraction(a, b))
+    return sorted(found)
 
 
 def _binary_cubic_roots(coeffs: Sequence[int]) -> list[tuple[int, int]]:
     """Projective rational roots, with multiplicity, of a binary cubic.
 
     Roots are primitive pairs (s, t); the full multiplicity 3 must be
-    rational or NotFullyRational is raised.
+    rational or NotFullyRational is raised.  A dense cubic in tau = t/s is
+    solved without factoring: a zero discriminant gives the repeated root
+    in closed form, and otherwise the roots mod the first prime ell that
+    divides neither the leading coefficient nor the discriminant are
+    Hensel lifted and read back as fractions by rational reconstruction,
+    each kept only if it is an exact root.
     """
     g = 0
     for x in coeffs:
@@ -360,27 +356,14 @@ def _binary_cubic_roots(coeffs: Sequence[int]) -> list[tuple[int, int]]:
         c = c[:-1]
     # c is now a dense polynomial in tau = t/s with nonzero ends, and it
     # inherits primitivity from the content division above.  Roots are
-    # appended in ascending tau; any root of the quadratic cofactor is at
-    # least the smallest root of the cubic, so the order survives the
-    # split below.
-    middle: list[tuple[int, int]] = []
+    # appended in ascending tau.
     if len(c) == 2:
         tau = Fraction(-c[0], c[1])
-        middle.append((tau.denominator, tau.numerator))
+        roots.append((tau.denominator, tau.numerator))
     elif len(c) == 3:
-        pair = _quadratic_pair(c[0], c[1], c[2])
-        if pair is not None:
-            middle.extend(pair)
+        roots.extend(_quadratic_pair(c[0], c[1], c[2]) or ())
     elif len(c) == 4:
-        first = _smallest_cubic_root(c)
-        if first is not None:
-            a, b = first
-            middle.append((b, a))
-            cofactor = _divide_primitive_root(c, a, b)
-            pair = _quadratic_pair(cofactor[0], cofactor[1], cofactor[2])
-            if pair is not None:
-                middle.extend(pair)
-    roots.extend(middle)
+        roots.extend((tau.denominator, tau.numerator) for tau in _cubic_roots(c))
     roots.extend([(0, 1)] * trailing)
     if len(roots) != 3:
         raise NotFullyRational(
@@ -563,11 +546,14 @@ def point_search(family: str, m: int, height: int) -> list[SurfacePoint]:
 
     Meet-in-the-middle on x^3 + y^3 = -(z^3 + M*z*w^2) (S_M) or
     -(z^3 + M*w^3) (Sprime_M).  One row of cube sums x^3 + y^3, y >= x, is
-    built per x and all of them go into one set.  For each z the sums the
-    (z, w) side needs are intersected with that set in one C-level call, so
-    only the hits are looked at in Python and sums out of range drop out
-    by themselves.  A second pass over the rows that meet a hit key
-    recovers the pairs (x, y).  The rows and the set are dropped before
+    built per x and all of them go into one set.  Negating all four
+    coordinates gives the same projective point, so only z > 0 is searched
+    (z >= 0 on Sprime_M), and on S_M, where w enters only as w^2, only
+    w >= 0: a hit at (z, w) stands for (z, w) and (z, -w).  For each z the
+    sums the (z, w) side needs are intersected with the set in one C-level
+    call, so only the hits are looked at in Python and sums out of range
+    drop out by themselves.  A second pass over the rows that meet a hit
+    key recovers the pairs (x, y).  The rows and the set are dropped before
     any output point is built.  On S_M the M term carries a factor z, so
     the slice z = 0 is exactly the contained line x + y = z = 0; it is
     written down in closed form, (0, 0, 0, 1) and (a, -a, 0, w) with
@@ -591,18 +577,24 @@ def point_search(family: str, m: int, height: int) -> list[SurfacePoint]:
     rows = [[cx + cy for cy in cubes[i:]] for i, cx in enumerate(cubes)]
     sums = set().union(*rows)
     is_s = family == FAMILY_S
-    terms = [w * w for w in vals] if is_s else cubes
+    if is_s:
+        # z > 0, and w >= 0 with each hit standing for both signs of w
+        first_z, ws = h + 1, vals[h:]
+        terms = [w * w for w in ws]
+    else:
+        first_z, ws, terms = h, vals, cubes
     wanted: dict[int, list[tuple[int, int]]] = {}
-    for z, cz in zip(vals, cubes):
-        if is_s and z == 0:
-            continue
+    for z, cz in zip(vals[first_z:], cubes[first_z:]):
         scale = m * z if is_s else m
         need = [-cz - scale * t for t in terms]
         hit = sums.intersection(need)
         if hit:
-            for w, k in zip(vals, need):
+            for w, k in zip(ws, need):
                 if k in hit:
-                    wanted.setdefault(k, []).append((z, w))
+                    pairs = wanted.setdefault(k, [])
+                    pairs.append((z, w))
+                    if is_s and w:
+                        pairs.append((z, -w))
     root = dict(zip(cubes, vals))
     seen = set()
     for x, cx, row in zip(vals, cubes, rows):
@@ -775,114 +767,3 @@ def rank_lower_bound(
         target_dim=target,
         points_used=len(points),
     )
-
-
-def _quadric_values(m: int, p: int, pt: Sequence[int]) -> tuple[int, int]:
-    x, y, z, w, t = pt
-    q1 = (x * x - x * y + y * y + z * t) % p
-    q2 = (z * z + m * w * w - x * t - y * t) % p
-    return q1, q2
-
-
-def line_on_del_pezzo(m: int, p: int, points: Iterable[Sequence[int]]) -> bool:
-    """Whether every listed point satisfies both quadrics of the degree-4
-    model x^2 - x y + y^2 + z t = 0, z^2 + M w^2 - x t - y t = 0."""
-    return all(_quadric_values(m, p, pt) == (0, 0) for pt in points)
-
-
-@dataclass(frozen=True)
-class DelPezzoLineReport:
-    """Containment checks for the two line-orbit representatives."""
-
-    m: int
-    p: int
-    zeta: int
-    sqrt_minus_m: int
-    theta: int
-    first_orbit_contained: bool
-    first_orbit_conjugate_contained: bool
-    second_orbit_contained: bool
-
-    @property
-    def all_contained(self) -> bool:
-        return (
-            self.first_orbit_contained
-            and self.first_orbit_conjugate_contained
-            and self.second_orbit_contained
-        )
-
-
-def _first_orbit_points(p: int, zeta: int, s: int) -> list[tuple[int, int, int, int, int]]:
-    pts = []
-    for lam, mu in [(1, k) for k in range(p)] + [(0, 1)]:
-        pts.append(((-zeta * lam) % p, lam % p, (-s * mu) % p, mu % p, 0))
-    return pts
-
-
-def _second_orbit_points(
-    p: int, zeta: int, s: int, theta: int
-) -> list[tuple[int, int, int, int, int]]:
-    inv3t2 = pow(3 * theta * theta % p, -1, p)
-    pts = []
-    for z, w in [(1, k) for k in range(p)] + [(0, 1)]:
-        t = theta * (z - s * w) % p
-        x = (-((2 * zeta - 2) * theta * z + (zeta + 2) * t) * inv3t2) % p
-        y = (-((-2 * zeta - 4) * theta * z + (-zeta + 1) * t) * inv3t2) % p
-        pts.append((x, y, z % p, w % p, t))
-    return pts
-
-
-def _find_constants(m: int, p: int) -> tuple[int, int, int]:
-    missing = []
-    zeta = next((z for z in range(2, p) if (z * z + z + 1) % p == 0), None)
-    if zeta is None:
-        missing.append("a primitive cube root of unity")
-    s = next((r for r in range(p) if (r * r + m) % p == 0), None)
-    if s is None:
-        missing.append(f"a square root of -{m}")
-    theta = next((r for r in range(p) if (r ** 3 - 2) % p == 0), None)
-    if theta is None:
-        missing.append("a cube root of 2")
-    if missing:
-        raise ConstantsUnavailable(f"F_{p} lacks " + " and ".join(missing))
-    return zeta, s, theta
-
-
-def del_pezzo_line_check(m: int, p: int) -> DelPezzoLineReport:
-    """Instantiate both line-orbit representatives over F_p and verify
-    containment in the degree-4 del Pezzo model pointwise."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if p == 3 or p == 2:
-        raise BadPrime("the model needs p coprime to 6")
-    if m % p == 0:
-        raise ConstantsUnavailable(
-            f"the square root of -M degenerates to zero for p = {p} dividing M"
-        )
-    zeta, s, theta = _find_constants(m, p)
-    first = line_on_del_pezzo(m, p, _first_orbit_points(p, zeta, s))
-    conj = line_on_del_pezzo(m, p, _first_orbit_points(p, zeta * zeta % p, s))
-    second = line_on_del_pezzo(m, p, _second_orbit_points(p, zeta, s, theta))
-    return DelPezzoLineReport(
-        m=m,
-        p=p,
-        zeta=zeta,
-        sqrt_minus_m=s,
-        theta=theta,
-        first_orbit_contained=first,
-        first_orbit_conjugate_contained=conj,
-        second_orbit_contained=second,
-    )
-
-
-def find_del_pezzo_prime(m: int, limit: int = 500) -> int:
-    """Smallest prime over which all three constants exist."""
-    for p in range(5, limit + 1):
-        if not is_prime(p) or p == 3 or m % p == 0:
-            continue
-        try:
-            _find_constants(m, p)
-        except ConstantsUnavailable:
-            continue
-        return p
-    raise ConstantsUnavailable(f"no admissible prime up to {limit}")

@@ -19,6 +19,14 @@ The closure oracle reference_closure is SpanTable.closure without its
 stop at the point where a fixpoint run has reached every point: it reads
 every remaining turn, so it checks the statistics the fast path returns.
 
+The reduction kernels have two references: the saturated line basis read
+off a full Smith form, and rational cubic roots by the divisor sieve
+(signed divisors of c0 over divisors of c3, filtered mod 101 and 103),
+which factors both end coefficients.  The del Pezzo line check, which
+instantiates both line orbits of the degree-4 model over F_p and tests
+containment pointwise, checks a lemma of the paper and has no caller in
+the package.
+
 The rest is geometry and arithmetic only the tests use: Plucker
 coordinates, line-plane meets, the pencil of lines of a plane through a
 point, tangent planes, asymptotic lines, the Gauss map along a contained
@@ -36,18 +44,29 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from cubicspan.errors import (
     BadPrime,
+    ConstantsUnavailable,
+    EqualPoints,
     LineNotOnSurface,
+    NotFullyRational,
+    NotPrime,
     PointNotOnSurface,
     SingularPoint,
 )
 from cubicspan.field import (
     ExtField,
     embedding,
+    factorize,
+    is_prime,
     make_extension,
     roots_of_cubic,
     solve_quadratic,
 )
-from cubicspan.hsgroup import ZPresentation, _identity, _snf_with_inverses
+from cubicspan.hsgroup import (
+    ZPresentation,
+    _identity,
+    _snf_with_inverses,
+    snf_with_transforms,
+)
 from cubicspan.planecubic import (
     CurvePoint,
     curve_point,
@@ -72,7 +91,9 @@ from cubicspan.reduction import (
     RankBoundReport,
     ReductionCoverage,
     SurfacePoint,
+    _hnf_pair,
     _primitive4,
+    _quadratic_pair,
     base_surface_point,
     family_tag,
     rank_bound_m,
@@ -886,3 +907,257 @@ def smith_difference_classes_generate(
     diag = [d[j][j] for j in range(min(len(d), width))]
     rank_ = sum(1 for x in diag if x)
     return rank_ == width and all(x == 1 for x in diag[:rank_])
+
+
+# -- reduction kernels --------------------------------------------------
+
+
+def snf_good_parametrization(p_coords: Iterable[int], q_coords: Iterable[int]) -> GoodLineParam:
+    """The saturated basis read off a Smith form of the stacked 2x4 matrix:
+    the first two rows of V^-1 span the saturation, then Hermite reduced."""
+    pu = _primitive4(p_coords)
+    qu = _primitive4(q_coords)
+    if pu == qu:
+        raise EqualPoints("the two points coincide projectively")
+    _, _, d, _, vinv = snf_with_transforms([list(pu), list(qu)])
+    if d[1][1] == 0:
+        raise EqualPoints("the two points coincide projectively")
+    u, v = _hnf_pair(vinv[0], vinv[1])
+    return GoodLineParam(u, v)
+
+
+def _divisors(x: int) -> list[int]:
+    """Positive divisors of the nonzero integer x, ascending."""
+    divs = [1]
+    for p, e in factorize(abs(x)):
+        block = divs
+        divs = []
+        power = 1
+        for _ in range(e + 1):
+            divs.extend(d * power for d in block)
+            power *= p
+    return sorted(divs)
+
+
+def _divide_primitive_root(poly: Sequence[int], a: int, b: int) -> list[int]:
+    """Exact division of an integer polynomial by (b*x - a), lowest-first.
+
+    Valid only when a/b is a root in lowest terms; every quotient step
+    then lands on an integer by the rational root theorem.
+    """
+    rev = list(poly[::-1])
+    out = [rev[0] // b]
+    for coef in rev[1:-1]:
+        out.append((coef + a * out[-1]) // b)
+    if rev[-1] + a * out[-1] != 0:
+        raise AssertionError("dividing by a non-root")
+    return out[::-1]
+
+
+# Sieve moduli for the rational root scan.  Any rational root a/b of the
+# primitive cubic reduces to a root mod q whenever q does not divide b, so
+# candidate pairs failing that test mod both primes can be discarded
+# without an exact evaluation.
+_FILTER_PRIMES = (101, 103)
+
+
+def smallest_cubic_root(c: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The rational root a/b of the primitive cubic c[0] + c[1]*tau +
+    c[2]*tau^2 + c[3]*tau^3 with smallest tau, or None.
+
+    a runs over signed divisors of c[0] and b over divisors of c[3]; pairs
+    are bucketed by the residue of a mod the first sieve prime, and only
+    those matching a polynomial root survive to the second sieve and the
+    exact check.
+    """
+    tables = []
+    for q in _FILTER_PRIMES:
+        cq = [x % q for x in c]
+        residue_roots = []
+        for t in range(q):
+            acc = 0
+            for x in reversed(cq):
+                acc = (acc * t + x) % q
+            if acc == 0:
+                residue_roots.append(t)
+        tables.append((q, residue_roots))
+    q1, roots1 = tables[0]
+    q2, roots2 = tables[1]
+    signed: list[int] = []
+    for a in _divisors(c[0]):
+        signed.append(a)
+        signed.append(-a)
+    buckets: dict[int, list[int]] = {}
+    for a in signed:
+        buckets.setdefault(a % q1, []).append(a)
+    survivors: list[tuple[int, int]] = []
+    for b in _divisors(c[-1]):
+        b1 = b % q1
+        if b1:
+            pool: list[int] = []
+            for t in roots1:
+                pool.extend(buckets.get(t * b1 % q1, ()))
+        else:
+            # q1 divides b, so the root reduces to tau = infinity mod q1
+            # and the sieve carries no information for this denominator.
+            pool = signed
+        b2 = b % q2
+        if b2:
+            allowed = {t * b2 % q2 for t in roots2}
+            pool = [a for a in pool if a % q2 in allowed]
+        survivors.extend((a, b) for a in pool if gcd(a, b) == 1)
+    survivors.sort(key=lambda st: Fraction(st[0], st[1]))
+    for a, b in survivors:
+        if sum(x * a ** k * b ** (3 - k) for k, x in enumerate(c)) == 0:
+            return a, b
+    return None
+
+
+def sieve_binary_cubic_roots(coeffs: Sequence[int]) -> list[tuple[int, int]]:
+    """Projective rational roots of a binary cubic by the divisor sieve:
+    the smallest root of a dense cubic is divided out and the quadratic
+    cofactor solved.  NotFullyRational as in the package."""
+    g = 0
+    for x in coeffs:
+        g = gcd(g, x)
+    c = [x // g for x in coeffs]
+    roots: list[tuple[int, int]] = []
+    while len(c) > 1 and c[0] == 0:
+        roots.append((1, 0))
+        c = c[1:]
+    trailing = 0
+    while len(c) > 1 and c[-1] == 0:
+        trailing += 1
+        c = c[:-1]
+    if len(c) == 2:
+        tau = Fraction(-c[0], c[1])
+        roots.append((tau.denominator, tau.numerator))
+    elif len(c) == 3:
+        roots.extend(_quadratic_pair(c[0], c[1], c[2]) or ())
+    elif len(c) == 4:
+        first = smallest_cubic_root(c)
+        if first is not None:
+            a, b = first
+            roots.append((b, a))
+            cofactor = _divide_primitive_root(c, a, b)
+            roots.extend(_quadratic_pair(cofactor[0], cofactor[1], cofactor[2]) or ())
+    roots.extend([(0, 1)] * trailing)
+    if len(roots) != 3:
+        raise NotFullyRational(
+            f"only {len(roots)} of 3 intersection points are rational"
+        )
+    return roots
+
+
+# -- the del Pezzo line check -------------------------------------------
+
+
+def _quadric_values(m: int, p: int, pt: Sequence[int]) -> tuple[int, int]:
+    x, y, z, w, t = pt
+    q1 = (x * x - x * y + y * y + z * t) % p
+    q2 = (z * z + m * w * w - x * t - y * t) % p
+    return q1, q2
+
+
+def line_on_del_pezzo(m: int, p: int, points: Iterable[Sequence[int]]) -> bool:
+    """Whether every listed point satisfies both quadrics of the degree-4
+    model x^2 - x y + y^2 + z t = 0, z^2 + M w^2 - x t - y t = 0."""
+    return all(_quadric_values(m, p, pt) == (0, 0) for pt in points)
+
+
+@dataclass(frozen=True)
+class DelPezzoLineReport:
+    """Containment checks for the two line-orbit representatives."""
+
+    m: int
+    p: int
+    zeta: int
+    sqrt_minus_m: int
+    theta: int
+    first_orbit_contained: bool
+    first_orbit_conjugate_contained: bool
+    second_orbit_contained: bool
+
+    @property
+    def all_contained(self) -> bool:
+        return (
+            self.first_orbit_contained
+            and self.first_orbit_conjugate_contained
+            and self.second_orbit_contained
+        )
+
+
+def _first_orbit_points(p: int, zeta: int, s: int) -> list[tuple[int, int, int, int, int]]:
+    pts = []
+    for lam, mu in [(1, k) for k in range(p)] + [(0, 1)]:
+        pts.append(((-zeta * lam) % p, lam % p, (-s * mu) % p, mu % p, 0))
+    return pts
+
+
+def _second_orbit_points(
+    p: int, zeta: int, s: int, theta: int
+) -> list[tuple[int, int, int, int, int]]:
+    inv3t2 = pow(3 * theta * theta % p, -1, p)
+    pts = []
+    for z, w in [(1, k) for k in range(p)] + [(0, 1)]:
+        t = theta * (z - s * w) % p
+        x = (-((2 * zeta - 2) * theta * z + (zeta + 2) * t) * inv3t2) % p
+        y = (-((-2 * zeta - 4) * theta * z + (-zeta + 1) * t) * inv3t2) % p
+        pts.append((x, y, z % p, w % p, t))
+    return pts
+
+
+def _find_constants(m: int, p: int) -> tuple[int, int, int]:
+    missing = []
+    zeta = next((z for z in range(2, p) if (z * z + z + 1) % p == 0), None)
+    if zeta is None:
+        missing.append("a primitive cube root of unity")
+    s = next((r for r in range(p) if (r * r + m) % p == 0), None)
+    if s is None:
+        missing.append(f"a square root of -{m}")
+    theta = next((r for r in range(p) if (r ** 3 - 2) % p == 0), None)
+    if theta is None:
+        missing.append("a cube root of 2")
+    if missing:
+        raise ConstantsUnavailable(f"F_{p} lacks " + " and ".join(missing))
+    return zeta, s, theta
+
+
+def del_pezzo_line_check(m: int, p: int) -> DelPezzoLineReport:
+    """Instantiate both line-orbit representatives over F_p and verify
+    containment in the degree-4 del Pezzo model pointwise."""
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if p == 3 or p == 2:
+        raise BadPrime("the model needs p coprime to 6")
+    if m % p == 0:
+        raise ConstantsUnavailable(
+            f"the square root of -M degenerates to zero for p = {p} dividing M"
+        )
+    zeta, s, theta = _find_constants(m, p)
+    first = line_on_del_pezzo(m, p, _first_orbit_points(p, zeta, s))
+    conj = line_on_del_pezzo(m, p, _first_orbit_points(p, zeta * zeta % p, s))
+    second = line_on_del_pezzo(m, p, _second_orbit_points(p, zeta, s, theta))
+    return DelPezzoLineReport(
+        m=m,
+        p=p,
+        zeta=zeta,
+        sqrt_minus_m=s,
+        theta=theta,
+        first_orbit_contained=first,
+        first_orbit_conjugate_contained=conj,
+        second_orbit_contained=second,
+    )
+
+
+def find_del_pezzo_prime(m: int, limit: int = 500) -> int:
+    """Smallest prime over which all three constants exist."""
+    for p in range(5, limit + 1):
+        if not is_prime(p) or p == 3 or m % p == 0:
+            continue
+        try:
+            _find_constants(m, p)
+        except ConstantsUnavailable:
+            continue
+        return p
+    raise ConstantsUnavailable(f"no admissible prime up to {limit}")

@@ -3,7 +3,7 @@
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,17 +21,17 @@ from cubicspan.errors import (
     NotPrime,
     PrimeConditionFailed,
 )
+from cubicspan.field import is_prime
 from cubicspan.reduction import (
     FAMILY_S,
     FAMILY_SPRIME,
+    _binary_cubic_roots,
+    _family_form,
     base_surface_point,
-    del_pezzo_line_check,
     family_tag,
-    find_del_pezzo_prime,
     form_value,
     good_parametrization,
     line_cycle,
-    line_on_del_pezzo,
     newton_polygon,
     point_search,
     rank_bound_m,
@@ -43,10 +43,15 @@ from cubicspan.reduction import (
     verify_line_relation,
 )
 from oracles import (
+    del_pezzo_line_check,
+    find_del_pezzo_prime,
     full_point_search,
     line_coordinates,
+    line_on_del_pezzo,
     per_point_coverage,
     per_point_rank_bound,
+    sieve_binary_cubic_roots,
+    snf_good_parametrization,
 )
 
 
@@ -139,6 +144,23 @@ def test_good_parametrization_properties(raw):
         assert gcd(lam.numerator, mu.numerator) == 1
 
 
+@given(
+    raw=st.tuples(*[st.integers(min_value=-30, max_value=30) for _ in range(8)])
+)
+@settings(max_examples=300, deadline=None)
+def test_good_parametrization_matches_the_smith_form(raw):
+    # the Bezout construction and the Smith form span one lattice, and the
+    # Hermite reduction makes the basis depend only on the lattice
+    p_raw, q_raw = raw[:4], raw[4:]
+    try:
+        expected = snf_good_parametrization(p_raw, q_raw)
+    except (EqualPoints, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            good_parametrization(p_raw, q_raw)
+        return
+    assert good_parametrization(p_raw, q_raw) == expected
+
+
 def test_line_coordinates_rejects_off_line():
     param = good_parametrization((1, 0, 0, 0), (0, 1, 0, 0))
     with pytest.raises(ValueError):
@@ -219,6 +241,120 @@ def test_line_cycle_irrational():
     param = good_parametrization((1, 0, 0, 0), (0, 0, 1, 0))
     with pytest.raises(NotFullyRational):
         line_cycle(param, FAMILY_S, 31)
+
+
+# -- rational cubic roots against the divisor sieve ----------------------
+
+
+def _sweep_cubics(family, m, height, prefix=None):
+    """Restricted forms of the distinct secants of a criterion-7 sweep,
+    the one secant on the surface left out."""
+    points = point_search(family, m, height)[:prefix]
+    params = {}
+    for a, b in combinations(points, 2):
+        par = good_parametrization(a.coords, b.coords)
+        params.setdefault((par.u, par.v), par)
+    form = _family_form(family, m)
+    cubics = [form.restrict_to_line(par.u, par.v) for par in params.values()]
+    return [c for c in cubics if any(c)]
+
+
+def _roots_or_error(finder, coeffs):
+    try:
+        return finder(coeffs)
+    except NotFullyRational as exc:
+        return str(exc)
+
+
+def test_cubic_roots_match_the_sieve_on_the_acceptance_sweeps():
+    cubics = _sweep_cubics(FAMILY_S, 31, 200, prefix=60)
+    cubics += _sweep_cubics(FAMILY_SPRIME, 93, 200)
+    assert len(cubics) == 1015
+    dense_repeated = set()
+    for coeffs in cubics:
+        found = _roots_or_error(_binary_cubic_roots, coeffs)
+        assert found == _roots_or_error(sieve_binary_cubic_roots, coeffs), coeffs
+        if coeffs[0] and coeffs[3] and len(set(found)) < 3:
+            g = gcd(*coeffs)
+            dense_repeated.add(tuple(x // g for x in coeffs))
+    assert dense_repeated == {(16, 56, 65, 25)}
+
+
+def test_cubic_roots_repeated_root_case():
+    # the one dense cubic of the sweeps with a zero discriminant:
+    # 25 tau^3 + 65 tau^2 + 56 tau + 16 = (5 tau + 4)^2 (tau + 1)
+    coeffs = [16, 56, 65, 25]
+    assert _binary_cubic_roots(coeffs) == [(1, -1), (5, -4), (5, -4)]
+    assert sieve_binary_cubic_roots(coeffs) == _binary_cubic_roots(coeffs)
+
+
+def _times_linear(poly, a, b):
+    """poly * (b*tau - a), coefficients lowest-first."""
+    out = [0] * (len(poly) + 1)
+    for i, x in enumerate(poly):
+        out[i] -= a * x
+        out[i + 1] += b * x
+    return out
+
+
+def _planted(roots, scale=1):
+    poly = [scale]
+    for a, b in roots:
+        poly = _times_linear(poly, a, b)
+    return poly
+
+
+# tau = 0 is left out: a root there is listed first, not in ascending order
+_ROOTS = st.tuples(
+    st.integers(min_value=-400, max_value=400).filter(bool),
+    st.integers(min_value=1, max_value=60),
+).map(lambda ab: (ab[0] // gcd(*ab), ab[1] // gcd(*ab)))
+
+# products of four of these exceed 2^40 and factor quickly for the sieve
+_BIG_PRIMES = [p for p in range(1031, 4096) if is_prime(p)]
+_BIG_ROOTS = st.tuples(
+    st.lists(st.sampled_from(_BIG_PRIMES), min_size=4, max_size=4, unique=True),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=1, max_value=1000),
+).map(lambda t: (t[1] * t[0][0] * t[0][1] * t[0][2] * t[0][3], t[2]))
+
+_SCALES = st.integers(min_value=1, max_value=12).map(lambda k: k if k % 2 else -k)
+
+
+@pytest.mark.parametrize("shape", ["distinct", "double", "triple", "big"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_cubic_roots_match_the_sieve_on_planted_roots(shape, data):
+    r, s, t = (data.draw(_ROOTS) for _ in range(3))
+    if shape == "big":
+        t = data.draw(_BIG_ROOTS)
+    roots = {
+        "distinct": [r, s, t],
+        "double": [r, r, s],
+        "triple": [r, r, r],
+        "big": [r, s, t],
+    }[shape]
+    coeffs = _planted(roots, data.draw(_SCALES))
+    found = _binary_cubic_roots(coeffs)
+    assert found == sieve_binary_cubic_roots(coeffs)
+    expected = sorted(Fraction(a, b) for a, b in roots)
+    assert found == [(x.denominator, x.numerator) for x in expected]
+
+
+@given(
+    root=_ROOTS,
+    p=st.integers(min_value=-50, max_value=50),
+    q=st.integers(min_value=-50, max_value=50),
+    scale=_SCALES,
+)
+@settings(max_examples=60, deadline=None)
+def test_cubic_roots_reject_an_irrational_pair(root, p, q, scale):
+    disc = p * p - 4 * q
+    assume(disc < 0 or isqrt(disc) ** 2 != disc)
+    coeffs = _times_linear([scale * q, scale * p, scale], *root)
+    for finder in (_binary_cubic_roots, sieve_binary_cubic_roots):
+        with pytest.raises(NotFullyRational, match=r"only \d of 3"):
+            finder(coeffs)
 
 
 def test_relation_bad_branch_newton():
@@ -499,7 +635,10 @@ def test_rank_bound_checks_m_against_its_convention(pts31, pts93):
     + [(FAMILY_S, 1333, 40), (FAMILY_SPRIME, 93, 40)]
     # z = -2w needs the sum 0, which every pair x = -y shares
     + [(FAMILY_SPRIME, 8, 30), (FAMILY_SPRIME, 27, 25)]
-    + [(FAMILY_S, -31, 20), (FAMILY_SPRIME, -93, 20), (FAMILY_SPRIME, 93, 200)],
+    + [(FAMILY_S, -31, 20), (FAMILY_SPRIME, -93, 20), (FAMILY_SPRIME, 93, 200)]
+    # only z > 0 (z >= 0 on Sprime_M) and, on S_M, w >= 0 are searched;
+    # M = 1 and M = 2 put many points at small |z| and w = 0
+    + [(FAMILY_S, 1, 40), (FAMILY_S, 2, 60), (FAMILY_SPRIME, 1, 40), (FAMILY_SPRIME, -2, 70)],
 )
 def test_point_search_matches_the_full_search(family, m, height):
     assert point_search(family, m, height) == full_point_search(family, m, height)
