@@ -450,31 +450,16 @@ def _pic_primes(limit: int) -> list[int]:
 def _pic_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
     limit = config.pic_limit
 
-    def check_mod3():
+    def check_quotient(n: int, wanted: Callable[[int], bool]):
+        """Pic0/n has dimension 2 and n^2 classes at each wanted p = 1 mod 3."""
         dims = {}
         bad = []
         for p in _pic_primes(limit):
-            if p % 3 != 1:
+            if p % 3 != 1 or not wanted(p):
                 continue
-            quo = pic_mod(p, 3)
+            quo = pic_mod(p, n)
             dims[str(p)] = quo.dim
-            if quo.dim != 2 or len(quo.reps) != 9:
-                bad.append({"p": p, "dim": quo.dim, "classes": len(quo.reps)})
-        detail = {"expected_dim": 2, "dims": dims}
-        if bad:
-            detail["violations"] = bad
-            return "fail", detail, None
-        return "pass", detail, None
-
-    def check_mod2():
-        dims = {}
-        bad = []
-        for p in _pic_primes(limit):
-            if p % 3 != 1 or not is_cube(p, 2):
-                continue
-            quo = pic_mod(p, 2)
-            dims[str(p)] = quo.dim
-            if quo.dim != 2 or len(quo.reps) != 4:
+            if quo.dim != 2 or len(quo.reps) != n * n:
                 bad.append({"p": p, "dim": quo.dim, "classes": len(quo.reps)})
         detail = {"expected_dim": 2, "dims": dims}
         if bad:
@@ -500,8 +485,8 @@ def _pic_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
         return "pass", detail, None
 
     return [
-        ("quotient_mod2", check_mod2),
-        ("quotient_mod3", check_mod3),
+        ("quotient_mod2", lambda: check_quotient(2, lambda p: is_cube(p, 2))),
+        ("quotient_mod3", lambda: check_quotient(3, lambda p: True)),
         ("two_division", check_two_division),
     ]
 

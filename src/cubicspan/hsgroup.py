@@ -109,8 +109,13 @@ class _SnfWorkspace:
         self.vinv[c2] = [x - k * y for x, y in zip(self.vinv[c2], self.vinv[c1])]
 
 
-def _snf_with_inverses(m: Sequence[Sequence[int]]):
-    """(U, Uinv, D, V, Vinv) with U M V = D diagonal, d1 | d2 | ..."""
+def snf_with_transforms(m: Sequence[Sequence[int]]):
+    """Smith form with inverse transforms: (U, Uinv, D, V, Vinv).
+
+    U M V = D is diagonal with d1 | d2 | ..., and M = Uinv D Vinv, so the
+    first rank(M) rows of Vinv are a basis of the saturation of the row
+    lattice of M.
+    """
     ws = _SnfWorkspace(m)
     a = ws.a
     t = 0
@@ -170,17 +175,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
     D is diagonal with non-negative entries satisfying d1 | d2 | ...; U
     and V are unimodular.
     """
-    u, _, d, v, _ = _snf_with_inverses(m)
+    u, _, d, v, _ = snf_with_transforms(m)
     return u, d, v
-
-
-def snf_with_transforms(m: Sequence[Sequence[int]]):
-    """Smith form with inverse transforms: (U, Uinv, D, V, Vinv).
-
-    U M V = D and M = Uinv D Vinv, so the first rank(M) rows of Vinv
-    are a basis of the saturation of the row lattice of M.
-    """
-    return _snf_with_inverses(m)
 
 
 class _UnionFind:
@@ -332,7 +328,7 @@ class ZPresentation:
 
         reduced = self._triangular_basis(rows, r)
         self.reduced = reduced
-        self.snf = _snf_with_inverses(reduced) if reduced else None
+        self.snf = snf_with_transforms(reduced) if reduced else None
         self._structure: Optional[GroupStructure] = None
 
     def _generating_sums(self) -> Iterator[tuple[int, int, int]]:

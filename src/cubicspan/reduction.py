@@ -376,6 +376,11 @@ def line_cycle(param: GoodLineParam, family: str, m: int) -> tuple[SurfacePoint,
     """The three rational surface points cut out by the line, repetition
     marking multiplicity.  LineOnSurface is raised for a line inside the
     surface."""
+    return _line_cycle(param, family, m)[0]
+
+
+def _line_cycle(param: GoodLineParam, family: str, m: int):
+    """line_cycle, with the form's binary cubic along the line it solved."""
     coeffs = _family_form(family_tag(family), m).restrict_to_line(param.u, param.v)
     if not any(coeffs):
         raise LineOnSurface("the line lies on the surface; its cycle is undefined")
@@ -383,7 +388,7 @@ def line_cycle(param: GoodLineParam, family: str, m: int) -> tuple[SurfacePoint,
     for s0, t0 in _binary_cubic_roots(coeffs):
         coords = [s0 * x + t0 * y for x, y in zip(param.u, param.v)]
         pts.append(surface_point(family, m, coords))
-    return tuple(pts)
+    return tuple(pts), coeffs
 
 
 def _ord_p(value, p: int) -> int:
@@ -501,18 +506,17 @@ def verify_line_relation(
     family = family_tag(family)
     n = _family_modulus(family, n)
     _check_reduction_prime(m, p)
-    cycle = line_cycle(param, family, m)
+    cycle, coeffs = _line_cycle(param, family, m)
     total = None
     for pt in cycle:
         cls = reduction_class(pt, p, n)
         total = cls if total is None else total + cls
-    form = _family_form(family, m)
-    coeffs = form.restrict_to_line(param.u, param.v)
     contained = all(c % p == 0 for c in coeffs)
     newton = None
     alpha2 = None
     z_unit = None
     if contained:
+        form = _family_form(family, m)
         uu, vv, _ = _vertex_basis(param, p)
         # keep the degree-3 term alive so the polygon sees every root
         tries = 0

@@ -173,21 +173,20 @@ class SpanTable:
         self.tangent_thirds = tangents
         self.spanning_lines: Optional[int] = None
 
-    def closure(self, seeds: Iterable[int], stop_when: Optional[set[int]] = None):
+    def closure(self, seeds: Iterable[int]):
         """Grow a seed index set to its secant-tangent fixpoint.
 
         Returns (member flags, members in insertion order, added-per-round
-        counts, lines examined).  stop_when, if given, is a set of indices;
-        the run stops early once all of them are members.  Each unordered
-        pair of members is examined exactly once, at the turn of whichever
-        point entered later, and each member's tangent lines once.
+        counts, lines examined).  Each unordered pair of members is examined
+        exactly once, at the turn of whichever point entered later, and each
+        member's tangent lines once.
 
-        A fixpoint run (no stop_when) stops at the first turn at which every
-        point is a member, with the statistics of the full run: later turns
-        add nothing, and a full run that reaches every point examines every
-        tangent entry and each pair entry that is not -1 once per unordered
-        pair.  That constant is self.spanning_lines, computed by the first
-        such run; seeds that already cover the surface read no entry.
+        The run stops at the first turn at which every point is a member,
+        with the statistics of the full run: later turns add nothing, and a
+        full run that reaches every point examines every tangent entry and
+        each pair entry that is not -1 once per unordered pair.  That
+        constant is self.spanning_lines, computed by the first such run;
+        seeds that already cover the surface read no entry.
         """
         n = len(self.points)
         table = self.pair_third
@@ -203,14 +202,11 @@ class SpanTable:
         frontier = list(order)
         rounds = [len(frontier)]
         lines = 0
-        remaining = None
-        if stop_when is not None:
-            remaining = {i for i in stop_when if not members[i]}
-        while frontier and (remaining is None or remaining):
+        while frontier:
             new: list[int] = []
             added = 0
             for i in frontier:
-                if remaining is None and len(order) == n:
+                if len(order) == n:
                     if added:
                         rounds.append(added)
                     if self.spanning_lines is None:  # -1: the diagonal and contained secants
@@ -225,8 +221,6 @@ class SpanTable:
                         order.append(k)
                         new.append(k)
                         added += 1
-                        if remaining is not None:
-                            remaining.discard(k)
                 for j in order[: position[i]]:
                     k = table[base + j]
                     if k >= 0:
@@ -237,10 +231,6 @@ class SpanTable:
                             order.append(k)
                             new.append(k)
                             added += 1
-                            if remaining is not None:
-                                remaining.discard(k)
-                if remaining is not None and not remaining:
-                    break
             if added:
                 rounds.append(added)
             frontier = new
@@ -290,8 +280,8 @@ def span_closure(
     return SpanState(pts, len(rounds) - 1, rounds, lines, len(table.points))
 
 
-def _line_point_indices(table: SpanTable, line: Line3) -> list[int]:
-    return [table.index[p.coords] for p in line.points()]
+def _line_point_indices(table: SpanTable, line: Line3) -> tuple[int, ...]:
+    return tuple(table.index[p.coords] for p in line.points())
 
 
 @dataclass(frozen=True)
@@ -380,7 +370,14 @@ class SpanLemmaReport:
 
 
 def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> SpanLemmaReport:
-    """Exhaustively verify the three span lemmas over S(F_q), q >= 13."""
+    """Exhaustively verify the three span lemmas over S(F_q), q >= 13.
+
+    Each seed set is closed once, to its fixpoint: every non-Eckardt
+    point on a line, every line's points, and the union of each skew
+    pair.  The line checks read the member flags of those closures,
+    which are held per seed tuple for the length of the call.
+    counterexample describes the first failure met.
+    """
     f = form.field
     if f.q < 13:
         raise HypothesisFailed("the span lemmas assume a field with at least 13 elements")
@@ -392,6 +389,7 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
     n = len(table.points)
     counterexample = None
     kinds: dict[int, PointKind] = {}
+    closures: dict[tuple[int, ...], bytearray] = {}
 
     def kind_of(i: int) -> PointKind:
         k = kinds.get(i)
@@ -400,19 +398,24 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
             kinds[i] = k
         return k
 
+    def spans(seeds: tuple[int, ...], targets: Iterable[int]) -> bool:
+        members = closures.get(seeds)
+        if members is None:
+            members = closures[seeds] = table.closure(seeds)[0]
+        return all(members[k] for k in targets)
+
     lemma_a: Optional[bool] = None
     checked_a = 0
     indices = {line: _line_point_indices(table, line) for line in lines}
     for line in lines:
-        targets = set(indices[line])
+        targets = indices[line]
         for i in sorted(targets):
             if kind_of(i) is PointKind.ECKARDT:
                 continue
             checked_a += 1
-            _, order, _, _ = table.closure([i], stop_when=targets)
-            if not targets.issubset(order):
+            if not spans((i,), targets):
                 lemma_a = False
-                counterexample = (
+                counterexample = counterexample or (
                     f"line {line} not inside span of {table.points[i]}"
                 )
             elif lemma_a is None:
@@ -433,8 +436,7 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
         idx2 = indices[l2]
         for src, dst in ((idx1, idx2), (idx2, idx1)):
             checked_b += 1
-            _, order, _, _ = table.closure(src, stop_when=set(dst))
-            if not set(dst).issubset(order):
+            if not spans(src, dst):
                 lemma_b = False
                 counterexample = counterexample or (
                     f"span of {l1} misses points of {l2}"
@@ -442,9 +444,8 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
         if lemma_b is None:
             lemma_b = True
         checked_c += 1
-        members, order, _, _ = table.closure(idx1 + idx2)
-        ok = len(order) == n
-        if not ok:
+        _, order, _, _ = table.closure(idx1 + idx2)
+        if len(order) != n:
             lemma_c = False
             counterexample = counterexample or (
                 f"skew pair {l1}, {l2} spans only {len(order)} of {n} points"

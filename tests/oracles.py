@@ -18,6 +18,10 @@ answer off the tangent pencil, is compared against it.
 The closure oracle reference_closure is SpanTable.closure without its
 stop at the point where a fixpoint run has reached every point: it reads
 every remaining turn, so it checks the statistics the fast path returns.
+It also keeps the stop that SpanTable.closure no longer has, once a
+given target set is all members.  reference_span_lemmas asks each span
+lemma question of its own closure run with that stop, instead of reading
+one fixpoint closure per seed set as verify_span_lemmas does.
 
 The reduction kernels have two references: the saturated line basis read
 off a full Smith form, and rational cubic roots by the divisor sieve
@@ -44,8 +48,10 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from cubicspan.errors import (
     BadPrime,
+    ConfigurationAbsent,
     ConstantsUnavailable,
     EqualPoints,
+    HypothesisFailed,
     LineNotOnSurface,
     NotFullyRational,
     NotPrime,
@@ -64,7 +70,6 @@ from cubicspan.field import (
 from cubicspan.hsgroup import (
     ZPresentation,
     _identity,
-    _snf_with_inverses,
     snf_with_transforms,
 )
 from cubicspan.planecubic import (
@@ -83,6 +88,7 @@ from cubicspan.projgeo import (
     normalize,
     pencil_basis,
     rank,
+    skew,
 )
 from cubicspan.reduction import (
     FAMILY_MODULUS,
@@ -100,7 +106,7 @@ from cubicspan.reduction import (
     reduce_to_curve,
     reduction_class,
 )
-from cubicspan.span import SpanTable
+from cubicspan.span import SpanLemmaReport, SpanTable
 from cubicspan.surface import (
     CubicForm,
     PointClass,
@@ -111,6 +117,7 @@ from cubicspan.surface import (
     _restrict_terms_to_line,
     _substitute_linear,
     classify_point,
+    lines_on_surface,
 )
 
 
@@ -819,6 +826,73 @@ def reference_closure(table: SpanTable, seeds: Iterable[int], stop_when: Optiona
     return members, order, tuple(rounds), lines
 
 
+def reference_span_lemmas(form: CubicForm, table: SpanTable) -> SpanLemmaReport:
+    """verify_span_lemmas with one reference_closure per question.
+
+    Each line question runs its own closure, stopped once the target line
+    is inside it; each skew union runs to its end.
+    """
+    if form.field.q < 13:
+        raise HypothesisFailed("the span lemmas assume a field with at least 13 elements")
+    lines = lines_on_surface(form)
+    if not lines:
+        raise ConfigurationAbsent("the surface has no rational line")
+    n = len(table.points)
+    counterexample = None
+    indices = {line: [table.index[p.coords] for p in line.points()] for line in lines}
+
+    lemma_a: Optional[bool] = None
+    checked_a = 0
+    for line in lines:
+        targets = set(indices[line])
+        for i in sorted(targets):
+            if classify_point(form, table.points[i]).kind is PointKind.ECKARDT:
+                continue
+            checked_a += 1
+            _, order, _, _ = reference_closure(table, [i], stop_when=targets)
+            if not targets.issubset(order):
+                lemma_a = False
+                counterexample = counterexample or (
+                    f"line {line} not inside span of {table.points[i]}"
+                )
+            elif lemma_a is None:
+                lemma_a = True
+
+    lemma_b: Optional[bool] = None
+    checked_b = 0
+    lemma_c: Optional[bool] = None
+    checked_c = 0
+    for a, l1 in enumerate(lines):
+        for l2 in lines[a + 1 :]:
+            if not skew(l1, l2):
+                continue
+            idx1 = indices[l1]
+            idx2 = indices[l2]
+            for src, dst in ((idx1, idx2), (idx2, idx1)):
+                checked_b += 1
+                _, order, _, _ = reference_closure(table, src, stop_when=set(dst))
+                if not set(dst).issubset(order):
+                    lemma_b = False
+                    counterexample = counterexample or (
+                        f"span of {l1} misses points of {l2}"
+                    )
+            if lemma_b is None:
+                lemma_b = True
+            checked_c += 1
+            _, order, _, _ = reference_closure(table, idx1 + idx2)
+            if len(order) != n:
+                lemma_c = False
+                counterexample = counterexample or (
+                    f"skew pair {l1}, {l2} spans only {len(order)} of {n} points"
+                )
+            elif lemma_c is None:
+                lemma_c = True
+
+    return SpanLemmaReport(
+        lemma_a, checked_a, lemma_b, checked_b, lemma_c, checked_c, counterexample,
+    )
+
+
 def point_level_presentation(table: SpanTable, lines: Sequence[Line3]) -> dict:
     """Sums, classes and relation rows with every sum collected as points.
 
@@ -902,7 +976,7 @@ def smith_difference_classes_generate(
     trimmed = [row[1:] for row in rows]
     if not trimmed:
         return r - 1 == 0
-    _, _, d, _, _ = _snf_with_inverses(trimmed)
+    _, _, d, _, _ = snf_with_transforms(trimmed)
     width = r - 1
     diag = [d[j][j] for j in range(min(len(d), width))]
     rank_ = sum(1 for x in diag if x)

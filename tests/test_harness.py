@@ -246,6 +246,12 @@ def test_default_reduction_suite_report_is_pinned():
     assert digest == "dc3d9dabe391cc11455ca2b99a504dbfff4677919c18c858f1d3938f9282db7a"
 
 
+def test_full_verify_report_is_pinned():
+    # every suite on the default config, compared byte for byte
+    digest = hashlib.sha256(run_suite("all").canonical_json().encode()).hexdigest()
+    assert digest == "7e5db5563b2e61746596b3740400d8cb50cef4961deb2e9fc9fb29d1bc863b09"
+
+
 def test_reduction_suite_wcubed_family():
     config = ExperimentConfig(family="Sprime_M", m=93, height=20, pair_cap=12)
     report = run_suite("reduction", config)

@@ -10,11 +10,11 @@ from cubicspan.hsgroup import (
     GroupStructure,
     ZPresentation,
     _difference_classes_generate,
-    _snf_with_inverses,
     class_diff,
     class_of,
     hs_structure,
     smith_normal_form,
+    snf_with_transforms,
     ternary_bound_check,
 )
 from cubicspan.projgeo import ProjPoint
@@ -88,7 +88,7 @@ def test_snf_ragged_input_rejected():
     )
 )
 def test_snf_recomposition_and_chain(m):
-    u, uinv, d, v, vinv = _snf_with_inverses(m)
+    u, uinv, d, v, vinv = snf_with_transforms(m)
     assert mat_mul(u, mat_mul(m, v)) == d
     # exact recomposition through the tracked inverses
     assert mat_mul(uinv, mat_mul(d, vinv)) == m
@@ -414,7 +414,7 @@ def test_triangular_basis_unimodular_test_matches_smith_form(width, data):
     basis = ZPresentation._triangular_basis(rows, width)
     spans = len(basis) == width and all(row[c] == 1 for c, row in enumerate(basis))
     if rows and width:
-        d = _snf_with_inverses(rows)[2]
+        d = snf_with_transforms(rows)[2]
         diag = [d[j][j] for j in range(min(len(d), width))]
         expected = len(diag) == width and all(x == 1 for x in diag)
     else:
@@ -430,7 +430,7 @@ def test_generation_check_needs_no_smith_form(
     def refuse(m):
         raise AssertionError("Smith form computed for the generation check")
 
-    monkeypatch.setattr(hsgroup, "_snf_with_inverses", refuse)
+    monkeypatch.setattr(hsgroup, "snf_with_transforms", refuse)
     pres = fermat5_presentation
     assert _difference_classes_generate(pres, pres.points[0], pres.points)
     pres = torsion_presentation

@@ -1,4 +1,5 @@
 import hashlib
+from array import array
 from collections import Counter
 
 import pytest
@@ -42,6 +43,7 @@ from oracles import (
     enumerate_lines,
     lines_in_plane_through,
     reference_closure,
+    reference_span_lemmas,
     tangent_plane,
 )
 
@@ -340,9 +342,9 @@ def _closure_outputs(result):
     return bytes(members), order, rounds, lines
 
 
-def _assert_matches_reference(table, seeds, stop_when=None):
-    expected = reference_closure(table, seeds, stop_when=stop_when)
-    got = table.closure(seeds, stop_when=stop_when)
+def _assert_matches_reference(table, seeds):
+    expected = reference_closure(table, seeds)
+    got = table.closure(seeds)
     assert _closure_outputs(got) == _closure_outputs(expected)
     return got
 
@@ -350,16 +352,10 @@ def _assert_matches_reference(table, seeds, stop_when=None):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_closure_matches_reference(oracle_case, data):
-    table, lines = oracle_case
+    table, _ = oracle_case
     n = len(table.points)
     seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
-    stop = data.draw(st.sampled_from(["none", "line", "all"]))
-    stop_when = None
-    if stop == "line":
-        stop_when = set(data.draw(st.sampled_from(lines)))
-    elif stop == "all":
-        stop_when = set(range(n))
-    _assert_matches_reference(table, seeds, stop_when)
+    _assert_matches_reference(table, seeds)
 
 
 def test_closure_matches_reference_on_singletons_and_everything(oracle_case):
@@ -375,10 +371,8 @@ def test_closure_matches_reference_on_singletons_and_everything(oracle_case):
         assert len(order) < n  # an Eckardt singleton does not span
     for i in range(0, n, max(1, n // 12)):
         _assert_matches_reference(table, [i])
-        _assert_matches_reference(table, [i], stop_when=set(lines[0]))
     _assert_matches_reference(table, lines[0])
     _assert_matches_reference(table, range(n))
-    _assert_matches_reference(table, range(n), stop_when=set(range(n)))
 
 
 def _brute_force_spanning_lines(table):
@@ -503,6 +497,60 @@ def test_span_lemmas_fermat_f13(fermat13_table):
     assert report.line_in_point_span_checked == 324
     assert report.skew_line_span_checked == 432
     assert report.skew_union_checked == 216
+
+
+# Fermat over GF(13) and the criterion-3 skew-stock draws with q >= 13
+LEMMA_SURFACES = {
+    "fermat13": lambda: fermat_cubic(F13),
+    "f13_seed6": lambda: random_smooth_surface(F13, 6),
+    "f17_seed5": lambda: random_smooth_surface(make_extension(17, 1), 5),
+    "f19_seed6": lambda: random_smooth_surface(make_extension(19, 1), 6),
+    "f25_seed3": lambda: random_smooth_surface(make_extension(5, 2), 3),
+    "f16_seed2": lambda: random_smooth_surface(F16, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_SURFACES))
+def test_span_lemmas_match_reference(name):
+    form = LEMMA_SURFACES[name]()
+    table = SpanTable(form)
+    report = verify_span_lemmas(form, table=table)
+    assert report.all_passed
+    assert report.skew_union_checked >= 1
+    assert report == reference_span_lemmas(form, table)
+
+
+def test_span_lemmas_fail_on_a_blank_table():
+    form = fermat_cubic(F13)
+    table = SpanTable(form)
+    n = len(table.points)
+    table.pair_third = array("i", [-1]) * (n * n)
+    table.tangent_thirds = [()] * n
+    report = verify_span_lemmas(form, table=table)
+    assert report.line_in_point_span is False
+    assert report.skew_line_span is False
+    assert report.skew_union_spans_surface is False
+    # lemma A reports its first failure, not its last
+    assert report.counterexample == (
+        "line Line3((1, 0, 0, 4), (0, 1, 4, 0)) not inside span of ProjPoint(1, 1, 4, 4)"
+    )
+    assert report == reference_span_lemmas(form, table)
+
+
+def test_span_lemmas_close_each_seed_set_once(fermat13_table, monkeypatch):
+    calls = []
+    closure = SpanTable.closure
+
+    def counting(self, seeds):
+        calls.append(tuple(seeds))
+        return closure(self, seeds)
+
+    monkeypatch.setattr(SpanTable, "closure", counting)
+    verify_span_lemmas(fermat13_table.form, table=fermat13_table)
+    # 243 non-Eckardt line points, 27 lines and 216 skew unions
+    assert len(calls) == 486
+    assert sum(len(c) == 1 for c in calls) == 243
+    assert len(set(calls)) == len(calls)
 
 
 def test_span_lemmas_require_thirteen_elements():
