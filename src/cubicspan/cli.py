@@ -262,7 +262,7 @@ def _cmd_pic(args) -> int:
 
 def _cmd_reduce(args) -> int:
     family = family_tag(args.family)
-    n = args.mod if args.mod else FAMILY_MODULUS[family]
+    n = FAMILY_MODULUS[family]
     points = point_search(family, args.M, args.height)
     quotient = pic_mod(args.p, n)
     class_index = {rep: i for i, rep in enumerate(quotient.reps)}
@@ -274,7 +274,7 @@ def _cmd_reduce(args) -> int:
         key = (x % args.p, y % args.p, z % args.p)
         if key not in by_residue:
             red = reduce_to_curve(pt, args.p)
-            cls = reduction_class(pt, args.p, n)
+            cls = reduction_class(pt, args.p)
             by_residue[key] = (
                 "bad" if red.bad else list(red.point.coords),
                 class_index[cls.rep],
@@ -455,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--M", type=int, required=True)
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--height", type=int, default=100)
-    sub.add_argument("--mod", type=int, choices=(2, 3))
     sub.add_argument("--out", help="write the JSON document to this path")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_reduce)

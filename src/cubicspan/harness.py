@@ -48,7 +48,6 @@ from .hsgroup import ZPresentation, ternary_bound_check
 from .planecubic import is_cube, pic_mod, two_division_check
 from .projgeo import planes_through_line, skew
 from .reduction import (
-    FAMILY_MODULUS,
     family_tag,
     good_parametrization,
     point_search,
@@ -221,8 +220,10 @@ def random_cubic_form(field_: ExtField, rng: random.Random) -> CubicForm:
 def random_smooth_surface(field_: ExtField, seed: int, attempts: int = 200) -> CubicForm:
     """Rejection-sample coefficient vectors until the surface is smooth.
 
-    Deterministic under the seed: the sampler is random.Random(seed) and
-    every draw is a randrange call, one per monomial in the fixed
+    Each draw is decided by the rank certificate of surface.is_smooth
+    alone, so a rejected draw costs one Macaulay-matrix rank and no point
+    scan.  Deterministic under the seed: the sampler is random.Random(seed)
+    and every draw is a randrange call, one per monomial in the fixed
     descending order.  The acceptance rate goes to the debug log.  Over a
     field above the flat-table limit the certificate raises BudgetExceeded.
     """
@@ -511,7 +512,6 @@ def _reduction_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
 
     def check_relations():
         pts = points()[: config.pair_cap]
-        n = FAMILY_MODULUS[family]
         primes = _reduction_primes(m)
         checked = 0
         skipped = 0
@@ -526,7 +526,7 @@ def _reduction_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
                     continue
                 for p in primes:
                     try:
-                        report = verify_line_relation(param, family, m, p, n)
+                        report = verify_line_relation(param, family, m, p)
                     except (NotFullyRational, LineOnSurface):
                         skipped += 1
                         continue

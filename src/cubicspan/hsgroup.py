@@ -488,29 +488,6 @@ def hs_structure(
     return ZPresentation(form, table=table, lines=lines).structure
 
 
-def class_of(
-    form: CubicForm,
-    point: ProjPoint,
-    presentation: Optional[ZPresentation] = None,
-) -> HsClass:
-    """The canonical class [P] of a rational surface point."""
-    if presentation is None:
-        presentation = ZPresentation(form)
-    return presentation.class_of(point)
-
-
-def class_diff(
-    form: CubicForm,
-    p: ProjPoint,
-    q: ProjPoint,
-    presentation: Optional[ZPresentation] = None,
-) -> HsClass:
-    """The canonical class [P - Q]."""
-    if presentation is None:
-        presentation = ZPresentation(form)
-    return presentation.class_diff(p, q)
-
-
 @dataclass(frozen=True)
 class TernaryBoundReport:
     """The rank bound and generation claims checked on one surface."""
@@ -528,8 +505,6 @@ def ternary_bound_check(
     form: CubicForm,
     table: Optional[SpanTable] = None,
     presentation: Optional[ZPresentation] = None,
-    r_max: int = 3,
-    closure_budget: int = 20_000,
 ) -> TernaryBoundReport:
     """Check r >= dim H0/pH0 for p in {2, 3} and the generation claim.
 
@@ -554,9 +529,7 @@ def ternary_bound_check(
     r = None
     consistent: Optional[bool] = None
     try:
-        found = minimal_generators(
-            form, r_max=r_max, table=table, closure_budget=closure_budget
-        )
+        found = minimal_generators(form, table=table)
         r = found.r
     except BudgetExceeded:
         pass

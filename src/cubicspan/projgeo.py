@@ -82,11 +82,20 @@ def rank(field: ExtField, rows: Iterable[Sequence[int]]) -> int:
 
 
 class ProjPoint:
-    """A point of P^3, stored with normalized homogeneous coordinates."""
+    """A point of P^3, stored with normalized homogeneous coordinates.
+
+    Every coordinate must be a code of the field; anything else raises
+    ValueError, as CubicForm does for its coefficients.
+    """
 
     __slots__ = ("field", "coords")
 
-    def __init__(self, field: ExtField, coords: Sequence[int]):
+    def __init__(self, field: ExtField, coords: Iterable[int]):
+        coords = tuple(map(int, coords))
+        q = field.q
+        for c in coords:
+            if not 0 <= c < q:
+                raise ValueError(f"coordinate {c} is not a code in GF({q})")
         self.field = field
         self.coords = normalize(field, coords)
 

@@ -156,23 +156,13 @@ def _quotient(p: int, n: int) -> PicQuotient:
     return pic_mod(p, n)
 
 
-def _family_modulus(family: str, n: Optional[int]) -> int:
-    expected = FAMILY_MODULUS[family_tag(family)]
-    if n is not None and n != expected:
-        raise FamilyMismatch(
-            f"family {family} pairs with the quotient mod {expected}, not {n}"
-        )
-    return expected
-
-
-def reduction_class(point: SurfacePoint, p: int, n: Optional[int] = None) -> PicClass:
+def reduction_class(point: SurfacePoint, p: int) -> PicClass:
     """The class of the reduction minus the base flex in Pic0/n.
 
-    The bad locus maps to the zero class, extending the good-reduction
-    map continuously.
+    n is the family's modulus (FAMILY_MODULUS).  The bad locus maps to the
+    zero class, extending the good-reduction map continuously.
     """
-    n = _family_modulus(point.family, n)
-    quotient = _quotient(p, n)
+    quotient = _quotient(p, FAMILY_MODULUS[family_tag(point.family)])
     red = reduce_to_curve(point, p)
     return quotient.class_of(red.point if red.point is not None else base_point(p))
 
@@ -492,9 +482,7 @@ class LineRelationReport:
     z_coord_unit: Optional[bool]
 
 
-def verify_line_relation(
-    param: GoodLineParam, family: str, m: int, p: int, n: Optional[int] = None
-) -> LineRelationReport:
+def verify_line_relation(param: GoodLineParam, family: str, m: int, p: int) -> LineRelationReport:
     """Check that the three reduction classes of a line cycle sum to zero.
 
     The report also says which case applied: a transverse reduction,
@@ -504,12 +492,11 @@ def verify_line_relation(
     degree 2 when the z-coordinate of the rebased basis is a unit).
     """
     family = family_tag(family)
-    n = _family_modulus(family, n)
     _check_reduction_prime(m, p)
     cycle, coeffs = _line_cycle(param, family, m)
     total = None
     for pt in cycle:
-        cls = reduction_class(pt, p, n)
+        cls = reduction_class(pt, p)
         total = cls if total is None else total + cls
     contained = all(c % p == 0 for c in coeffs)
     newton = None
@@ -534,7 +521,7 @@ def verify_line_relation(
         family=family,
         m=m,
         p=p,
-        modulus=n,
+        modulus=FAMILY_MODULUS[family],
         points=cycle,
         relation_holds=total.is_zero,
         reduction_contained=contained,
@@ -741,7 +728,7 @@ def rank_lower_bound(
     base = base_surface_point(family, m)
     base_vec: list[int] = []
     for p, q in zip(primes, quotients):
-        base_vec.extend(q.coordinates(reduction_class(base, p, n)))
+        base_vec.extend(q.coordinates(reduction_class(base, p)))
     # (x, y, z) mod M fixes the residues mod every prime, and a repeated
     # row cannot change the rank, so each residue triple gives one row
     rows = []
@@ -756,7 +743,7 @@ def rank_lower_bound(
         seen.add(key)
         vec: list[int] = []
         for p, q in zip(primes, quotients):
-            vec.extend(q.coordinates(reduction_class(pt, p, n)))
+            vec.extend(q.coordinates(reduction_class(pt, p)))
         rows.append([(a - b) % n for a, b in zip(vec, base_vec)])
     target = sum(q.dim for q in quotients)
     achieved = rank(make_extension(n, 1), rows)

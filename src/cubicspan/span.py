@@ -77,11 +77,11 @@ class SpanTable:
 
     __slots__ = ("form", "points", "index", "pair_third", "tangent_thirds", "spanning_lines")
 
-    def __init__(self, form: CubicForm, pair_budget: int = PAIR_TABLE_BUDGET):
+    def __init__(self, form: CubicForm):
         f = form.field
         points = surface_points(form)
         n = len(points)
-        if n * n > pair_budget:
+        if n * n > PAIR_TABLE_BUDGET:
             raise BudgetExceeded(f"{n} points need a table of {n * n} pairs")
         self.form = form
         self.points = points

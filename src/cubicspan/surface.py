@@ -40,7 +40,6 @@ from .projgeo import (
     Line3,
     Plane3,
     ProjPoint,
-    normalize,
     pencil_basis,
     rank,
 )
@@ -425,16 +424,17 @@ def zero_points(form: CubicForm) -> Iterator[tuple[int, ...]]:
 # -- lines on the surface ----------------------------------------------
 
 
-def lines_on_surface(form: CubicForm, extension: int = 1, pair_budget: int = LINE_SCAN_BUDGET) -> list[Line3]:
+def lines_on_surface(form: CubicForm, extension: int = 1) -> list[Line3]:
     """Every line of P^3 over F_{q^extension} contained in the surface.
 
     Scans the six canonical row patterns through precomputed zero sets, so
     only candidates whose two basis points (and, for the dense pattern, the
     basis sum) lie on the surface reach the exact containment check.
+    An extension field with q^2 above LINE_SCAN_BUDGET raises BudgetExceeded.
     """
     f = form.field
     ext = make_extension(f.p, f.k * extension)
-    if ext.q * ext.q > pair_budget:
+    if ext.q * ext.q > LINE_SCAN_BUDGET:
         raise BudgetExceeded(f"line scan over GF({ext.q}) exceeds the pair budget")
     g = form.embed(ext) if ext is not f else form
     add = ext.add
@@ -493,23 +493,7 @@ def lines_on_surface(form: CubicForm, extension: int = 1, pair_budget: int = LIN
 # -- smoothness ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
-    """Outcome of the smoothness certificate.
-
-    smooth is exact.  A singular surface carries a witness (degree of the
-    point's field over the base field, coordinates over that field) when
-    it has a singular point of degree 1 or 2, and None otherwise.
-    """
-
-    smooth: bool
-    witness: Optional[tuple[int, tuple[int, ...]]]
-
-    def __bool__(self) -> bool:
-        return self.smooth
-
-
-def is_smooth(form: CubicForm) -> SmoothnessReport:
+def is_smooth(form: CubicForm) -> bool:
     """Decide smoothness by the rank of one Macaulay matrix over F_q.
 
     The four partials have no common zero over the algebraic closure exactly
@@ -517,8 +501,8 @@ def is_smooth(form: CubicForm) -> SmoothnessReport:
     (Lazard's bound), and by Euler's identity 3F = sum x_i dF/dx_i such a
     zero lies on the surface.  In characteristic 3, F joins the generators
     in degree 6 (84 columns).  Rank is stable under field extension, so
-    singular points of every degree count.  A singular surface is then
-    searched for a witness: rational points, then conjugate pairs on lines.
+    singular points of every degree count.  No point or line is scanned:
+    the rank alone is the answer.
     """
     f = form.field
     if f is None:
@@ -541,35 +525,7 @@ def is_smooth(form: CubicForm) -> SmoothnessReport:
                     row[columns[tuple(map(operator.add, mono, shift))]] = c
                 yield row
 
-    if rank(f, rows()) == len(columns):
-        return SmoothnessReport(True, None)
-    for coords in zero_points(form):
-        if not any(form.gradient(coords)):
-            return SmoothnessReport(False, (1, coords))
-    for line in lines_on_surface(form):
-        witness = _singular_point_on_line(form, line)
-        if witness is not None:
-            return SmoothnessReport(False, witness)
-    return SmoothnessReport(False, None)
-
-
-def _singular_point_on_line(form: CubicForm, line: Line3):
-    """A singular point of degree 2 on a contained line, if there is one.
-
-    The partials restrict to binary quadratics along the line, and their
-    common roots are its singular points.  is_smooth calls this only once
-    no rational point is singular, so the one case left is a gcd (at s = 1)
-    that is an irreducible quadratic: a conjugate pair over F_{q^2}.
-    """
-    f = form.field
-    u, v = line.rows
-    g: list[int] = []
-    for i in range(4):
-        g = univariate_gcd(f, g, form.partial_on_line(i, u, v))
-    if len(g) != 3 or solve_quadratic(f, g[2], g[1], g[0]):
-        return None
-    ext, lifted = _quadratic_lift(f, g, u, v)
-    return (2, normalize(ext, lifted[0][0]))
+    return rank(f, rows()) == len(columns)
 
 
 def _quadratic_lift(field: ExtField, quad: Sequence[int], u: Sequence[int], v: Sequence[int]):
@@ -626,7 +582,7 @@ class IntersectionDivisor:
         return 0
 
 
-def intersect_line(form: CubicForm, line: Line3, resolve: bool = True) -> IntersectionDivisor:
+def intersect_line(form: CubicForm, line: Line3) -> IntersectionDivisor:
     """The intersection cycle line . S as a root multiset of a binary cubic."""
     f = form.field
     if f is not line.field:
@@ -641,7 +597,7 @@ def intersect_line(form: CubicForm, line: Line3, resolve: bool = True) -> Inters
     ]
     unresolved: list[tuple[int, int]] = []
     if cr.extension_roots:
-        if cr.extension_degree == 2 and resolve:
+        if cr.extension_degree == 2:
             ext, lifted = _quadratic_lift(f, cr.leftover, u, v)
             entries.extend(DivisorEntry(ProjPoint(ext, c), mult, 2) for c, mult in lifted)
         else:
@@ -751,11 +707,10 @@ def classify_point(form: CubicForm, point: ProjPoint) -> PointClass:
     return PointClass(kind, True, lines)
 
 
-def eckardt_points(form: CubicForm, candidates: Optional[Sequence[ProjPoint]] = None) -> list[ProjPoint]:
-    """All Eckardt points among the candidates (default: every rational point)."""
+def eckardt_points(form: CubicForm) -> list[ProjPoint]:
+    """All rational Eckardt points, sorted by coordinates."""
     f = form.field
-    if candidates is None:
-        candidates = (ProjPoint(f, c) for c in zero_points(form))
-    out = [p for p in candidates if classify_point(form, p).kind is PointKind.ECKARDT]
+    points = (ProjPoint(f, c) for c in zero_points(form))
+    out = [p for p in points if classify_point(form, p).kind is PointKind.ECKARDT]
     out.sort(key=lambda p: p.coords)
     return out

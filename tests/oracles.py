@@ -10,6 +10,10 @@ model.  The presentation oracle collects every generating sum at the
 point level before merging classes, and the generation oracle reads a
 full Smith form.
 
+The smoothness witness search singular_witness scans the rational points
+and then the contained lines for a singular point; is_smooth decides
+smoothness from one matrix rank and looks for no point.
+
 The tangent-section oracle gamma_curve pulls the surface back to the
 tangent plane and re-expands it around the point, lifting conjugate
 asymptotic directions to GF(q^2); classify_point, which reads the same
@@ -66,6 +70,7 @@ from cubicspan.field import (
     make_extension,
     roots_of_cubic,
     solve_quadratic,
+    univariate_gcd,
 )
 from cubicspan.hsgroup import (
     ZPresentation,
@@ -118,6 +123,7 @@ from cubicspan.surface import (
     _substitute_linear,
     classify_point,
     lines_on_surface,
+    zero_points,
 )
 
 
@@ -269,7 +275,7 @@ def per_point_rank_bound(family: str, primes, points) -> RankBoundReport:
     m = rank_bound_m(family, primes)
 
     def classes(pt):
-        return [reduction_class(pt, p, n) for p in primes]
+        return [reduction_class(pt, p) for p in primes]
 
     base = classes(base_surface_point(family, m))
     base_vec = [c for cls in base for c in cls.quotient.coordinates(cls)]
@@ -437,6 +443,45 @@ def lines_in_plane_through(plane: Plane3, point: ProjPoint) -> list[Line3]:
 
 
 # -- surface geometry only the tests use --------------------------------
+
+
+def singular_witness(form: CubicForm):
+    """A singular point of the surface, found by search, or None.
+
+    Rational points are scanned first, then every contained rational line
+    for a conjugate pair.  The result is (degree of the point's field over
+    the base field, coordinates over that field).  A singular surface whose
+    singular points all have degree 3 or more, or a degree-2 pair on no
+    rational line, gets None; surface.is_smooth decides smoothness without
+    this search.
+    """
+    for coords in zero_points(form):
+        if not any(form.gradient(coords)):
+            return (1, coords)
+    for line in lines_on_surface(form):
+        witness = _singular_point_on_line(form, line)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _singular_point_on_line(form: CubicForm, line: Line3):
+    """A singular point of degree 2 on a contained line, if there is one.
+
+    The partials restrict to binary quadratics along the line, and their
+    common roots are its singular points.  singular_witness calls this only
+    once no rational point is singular, so the one case left is a gcd (at
+    s = 1) that is an irreducible quadratic: a conjugate pair over F_{q^2}.
+    """
+    f = form.field
+    u, v = line.rows
+    g: list[int] = []
+    for i in range(4):
+        g = univariate_gcd(f, g, form.partial_on_line(i, u, v))
+    if len(g) != 3 or solve_quadratic(f, g[2], g[1], g[0]):
+        return None
+    ext, lifted = _quadratic_lift(f, g, u, v)
+    return (2, normalize(ext, lifted[0][0]))
 
 
 def tangent_plane(form: CubicForm, point: ProjPoint) -> Plane3:

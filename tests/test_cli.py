@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 
+import argparse
 import hashlib
 import json
 import re
@@ -105,6 +106,25 @@ def test_classify_rejects_short_point(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "field_args, point",
+    [(["--p", "2", "--k", "4"], "1,20,0,0"), (["--p", "13"], "1,25,0,0"), (["--p", "13"], "1,-1,0,0")],
+    ids=["gf16-too-large", "gf13-too-large", "gf13-negative"],
+)
+def test_classify_rejects_coordinates_that_are_not_field_codes(capsys, field_args, point):
+    code = main(["classify", *field_args, "--point", point])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "is not a code in GF(" in captured.err
+    assert captured.out == ""
+
+
+def test_classify_rejects_a_point_off_the_surface(capsys):
+    code = main(["classify", "--p", "13", "--point", "1,0,0,0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: ProjPoint(1, 0, 0, 0) is not on the surface\n"
+
+
 def test_span_trace_from_eckardt_seeds(capsys):
     code, doc = run_json(
         capsys,
@@ -200,7 +220,6 @@ def test_reduce_document(capsys, tmp_path):
             "--M", "31",
             "--p", "31",
             "--height", "10",
-            "--mod", "2",
             "--out", str(out),
         ],
     )
@@ -280,6 +299,69 @@ def test_surface_commands_accept_every_family_alias(capsys, command, alias):
     code, doc = run(alias)
     assert code == 0
     assert run(family_tag(alias)) == (0, doc)
+
+
+#: one run per subcommand without --json, and the first line it prints
+HUMAN_RUNS = {
+    "lines": (["--p", "7"], "27 lines over GF(7)"),
+    "classify": (
+        ["--p", "13", "--point", "1,12,1,12"],
+        "(1, 12, 1, 12): hyperbolic, ternary, 2 lines through it over the closure",
+    ),
+    "span": (
+        ["--p", "13", "--skew-check"],
+        "skew singleton spans: 24 checked, 4 Eckardt skipped, all span",
+    ),
+    "hs": (["--p", "7"], "99 points, 4811 relations"),
+    "pic": (["--p", "31", "--mod", "2"], "Pic0(C_31)/2: dimension 2, 4 classes"),
+    "reduce": (
+        ["--family", "S_M", "--M", "31", "--p", "31", "--height", "10"],
+        "146 points of height <= 10 reduced at p = 31",
+    ),
+    "rank-bound": (
+        ["--family", "S_M", "--primes", "31", "--height", "10"],
+        "S_M with M = 31: rank of the reduction image is 2 of 2 (146 points, height 10)",
+    ),
+    "verify": (
+        ["--suite", "pic", "--pic-limit", "13"],
+        "suite pic: 3 passed, 0 failed, 0 skipped",
+    ),
+    "scan": (["--p", "7", "--count", "2"], "2 smooth surfaces over GF(7)"),
+}
+
+
+def test_human_runs_cover_every_subcommand():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(HUMAN_RUNS) == set(commands.choices)
+
+
+@pytest.mark.parametrize("command", sorted(HUMAN_RUNS))
+def test_every_subcommand_prints_its_human_summary(capsys, command):
+    args, first_line = HUMAN_RUNS[command]
+    assert main([command, *args]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == first_line
+
+
+#: (argv, expected stdout) of each README block that opens with $ cubicspan
+README_TRANSCRIPTS = [
+    (shlex.split(command), output)
+    for command, output in re.findall(r"```\n\$ cubicspan (.*?)\n(.*?)```", README.read_text(), re.S)
+]
+
+
+def _mask_timings(text: str) -> str:
+    return re.sub(r"\(\d+\.\d+s\)", "(0.00s)", text)
+
+
+def test_readme_has_three_transcripts():
+    assert [argv[0] for argv, _ in README_TRANSCRIPTS] == ["hs", "span", "verify"]
+
+
+@pytest.mark.parametrize("argv, expected", README_TRANSCRIPTS, ids=[a[0] for a, _ in README_TRANSCRIPTS])
+def test_readme_transcript_replays(capsys, argv, expected):
+    assert main(argv) == 0
+    assert _mask_timings(capsys.readouterr().out) == _mask_timings(expected)
 
 
 def test_readme_command_table_parses():

@@ -10,8 +10,6 @@ from cubicspan.hsgroup import (
     GroupStructure,
     ZPresentation,
     _difference_classes_generate,
-    class_diff,
-    class_of,
     hs_structure,
     smith_normal_form,
     snf_with_transforms,
@@ -191,13 +189,6 @@ def test_class_arithmetic(fermat5_presentation):
     assert pres.class_diff(a, b).degree == 0
     assert (pres.class_of(a) - pres.class_of(a)).is_zero
     assert (-pres.class_of(a)).degree == -1
-
-
-def test_class_of_wrappers(fermat5_presentation):
-    pres = fermat5_presentation
-    a, b = pres.points[2], pres.points[5]
-    assert class_of(pres.form, a, presentation=pres) == pres.class_of(a)
-    assert class_diff(pres.form, a, b, presentation=pres) == pres.class_diff(a, b)
 
 
 def test_class_rejects_off_surface_point(fermat5_presentation):

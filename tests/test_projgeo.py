@@ -41,6 +41,17 @@ def test_point_normalization():
         ProjPoint(f, (0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("p, k, coords", [(13, 1, (1, 25, 0, 0)), (13, 1, (1, -1, 0, 0)), (2, 4, (1, 20, 0, 0))])
+def test_point_rejects_coordinates_that_are_not_codes(p, k, coords):
+    with pytest.raises(ValueError, match=f"not a code in GF\\({p ** k}\\)"):
+        ProjPoint(make_extension(p, k), coords)
+
+
+def test_point_accepts_a_generator():
+    f = make_extension(7, 1)
+    assert ProjPoint(f, (c for c in (0, 3, 5, 1))) == ProjPoint(f, (0, 1, 4, 5))
+
+
 def test_point_count_matches_formula():
     for fld in (F2, F3):
         pts = list(enumerate_point_tuples(fld))

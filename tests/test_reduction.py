@@ -213,13 +213,6 @@ def test_reduction_class_representative_independent():
     assert reduction_class(a, 31) == reduction_class(b, 31)
 
 
-def test_reduction_class_family_modulus():
-    wit = surface_point(FAMILY_S, 31, (-6, -4, 5, 1))
-    with pytest.raises(FamilyMismatch):
-        reduction_class(wit, 31, n=3)
-    assert reduction_class(wit, 31, n=2) == reduction_class(wit, 31)
-
-
 def test_line_cycle_vertex_secant():
     param = good_parametrization((0, 0, 0, 1), (-6, -4, 5, 1))
     cycle = line_cycle(param, FAMILY_S, 31)
@@ -408,8 +401,6 @@ def test_relation_wcubed_flex_line():
 
 def test_relation_validation():
     param = good_parametrization((1, -1, 0, 0), (0, 1, -1, 0))
-    with pytest.raises(FamilyMismatch):
-        verify_line_relation(param, FAMILY_S, 31, 31, n=3)
     with pytest.raises(BadPrime):
         verify_line_relation(param, FAMILY_S, 31, 7)
 

@@ -11,6 +11,7 @@ from cubicspan.errors import (
     HypothesisFailed,
     PointNotOnSurface,
 )
+from cubicspan import span
 from cubicspan.field import make_extension
 from cubicspan.harness import random_smooth_surface
 from cubicspan.projgeo import (
@@ -579,6 +580,7 @@ def test_one_line_surface_has_no_skew_pair():
     assert state.spans_surface
 
 
-def test_pair_table_budget(fermat5_table):
+def test_pair_table_budget(fermat5_table, monkeypatch):
+    monkeypatch.setattr(span, "PAIR_TABLE_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
-        SpanTable(fermat5_table.form, pair_budget=100)
+        SpanTable(fermat5_table.form)

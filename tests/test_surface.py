@@ -25,7 +25,6 @@ from cubicspan.surface import (
     MONOMIALS,
     CubicForm,
     PointKind,
-    SmoothnessReport,
     classify_point,
     eckardt_points,
     fermat_cubic,
@@ -45,6 +44,7 @@ from oracles import (
     gauss_on_line,
     groebner_smooth,
     lines_in_plane_through,
+    singular_witness,
     tangent_plane,
     tangent_section_class,
 )
@@ -192,33 +192,56 @@ def test_line_scan_budget():
 
 
 def test_smooth_surfaces():
-    assert is_smooth(fermat_cubic(F13))
-    assert is_smooth(fermat_cubic(F5))
-    report = is_smooth(fermat_cubic(F13))
-    assert report.witness is None
+    assert is_smooth(fermat_cubic(F13)) is True
+    assert is_smooth(fermat_cubic(F5)) is True
+    assert singular_witness(fermat_cubic(F13)) is None
+
+
+#: x0^3 over F_5, singular along the whole plane x0 = 0
+TRIPLE_PLANE_F5 = CubicForm(F5, {(3, 0, 0, 0): 1})
+#: the cone x0^3 + x1^3 + x2^3 over F_13, singular at (0 : 0 : 0 : 1) only
+CONE_F13 = CubicForm(F13, {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1})
+#: (x0 + x1)(x2^2 - 2 x3^2) + x0^3 + 2 x1^3 over F_13: the only singular
+#: points are the conjugate pair (0, 0, +-sqrt(2), 1) over F_169, far
+#: beyond the rational point scan
+CONJUGATE_PAIR_F13 = CubicForm(F13, {
+    (1, 0, 2, 0): 1, (1, 0, 0, 2): 11,
+    (0, 1, 2, 0): 1, (0, 1, 0, 2): 11,
+    (3, 0, 0, 0): 1, (0, 3, 0, 0): 2,
+})
+
+
+def test_is_smooth_scans_no_point_and_no_line(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_smooth scanned the surface")
+
+    monkeypatch.setattr(surface, "zero_points", refuse)
+    monkeypatch.setattr(surface, "lines_on_surface", refuse)
+    # x2 (x0^2 + x1^2 + x3^2 + x0 x1) + x0^3 + x1^3 + x3^3 + x0 x1 x3 over
+    # F_251 is singular at (0 : 0 : 1 : 0) only, the last chart a point
+    # scan reaches
+    late = CubicForm(make_extension(251, 1), {
+        (2, 0, 1, 0): 1, (0, 2, 1, 0): 1, (0, 0, 1, 2): 1, (1, 1, 1, 0): 1,
+        (3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 0, 3): 1, (1, 1, 0, 1): 1,
+    })
+    assert late.evaluate((0, 0, 1, 0)) == 0
+    assert late.gradient((0, 0, 1, 0)) == (0, 0, 0, 0)
+    for form in (TRIPLE_PLANE_F5, CONE_F13, CONJUGATE_PAIR_F13, late):
+        assert is_smooth(form) is False
+    assert is_smooth(fermat_cubic(F13)) is True
 
 
 def test_singular_witnesses():
-    triple_plane = CubicForm(F5, {(3, 0, 0, 0): 1})
-    report = is_smooth(triple_plane)
-    assert not report
-    assert report.witness == (1, (0, 1, 0, 0))
-    cone = CubicForm(F13, {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1})
-    assert is_smooth(cone).witness == (1, (0, 0, 0, 1))
+    assert is_smooth(TRIPLE_PLANE_F5) is False
+    assert singular_witness(TRIPLE_PLANE_F5) == (1, (0, 1, 0, 0))
+    assert is_smooth(CONE_F13) is False
+    assert singular_witness(CONE_F13) == (1, (0, 0, 0, 1))
 
 
 def test_conjugate_singular_pair_found_by_line_reinforcement():
-    # (x0 + x1)(x2^2 - 2 x3^2) + x0^3 + 2 x1^3 over F_13: the only singular
-    # points are the conjugate pair (0, 0, +-sqrt(2), 1) over F_169, far
-    # beyond the rational point scan
-    form = CubicForm(F13, {
-        (1, 0, 2, 0): 1, (1, 0, 0, 2): 11,
-        (0, 1, 2, 0): 1, (0, 1, 0, 2): 11,
-        (3, 0, 0, 0): 1, (0, 3, 0, 0): 2,
-    })
-    report = is_smooth(form)
-    assert not report
-    degree, coords = report.witness
+    form = CONJUGATE_PAIR_F13
+    assert is_smooth(form) is False
+    degree, coords = singular_witness(form)
     assert degree == 2
     ext = make_extension(13, 2)
     lifted = form.embed(ext)
@@ -233,7 +256,8 @@ def test_conjugate_singular_triple_is_found_without_witness():
         (3, 0, 0, 0): 1, (0, 3, 0, 0): 11, (0, 0, 3, 0): 4, (0, 0, 0, 3): 1,
         (1, 1, 1, 0): 6, (2, 0, 0, 1): 3, (0, 1, 1, 1): 6,
     })
-    assert is_smooth(form) == SmoothnessReport(False, None)
+    assert is_smooth(form) is False
+    assert singular_witness(form) is None
     lifted = form.embed(make_extension(13, 3))
     assert lifted.evaluate((1, 1014, 78, 0)) == 0
     assert lifted.gradient((1, 1014, 78, 0)) == (0, 0, 0, 0)
@@ -246,7 +270,7 @@ def test_certificate_needs_the_form_in_characteristic_three():
     form = CubicForm(f3, {(3, 0, 0, 0): 1, (1, 2, 0, 0): 1, (0, 1, 2, 0): 1, (0, 0, 1, 2): 1})
     assert form.gradient((1, 0, 0, 0)) == (0, 0, 0, 0)
     assert form.evaluate((1, 0, 0, 0)) == 1
-    assert is_smooth(form) == SmoothnessReport(True, None)
+    assert is_smooth(form) is True
     assert groebner_smooth(form)
 
 
@@ -294,13 +318,14 @@ def test_certificate_matches_groebner_bases(p):
         lifted = form.embed(make_extension(p, degree))
         assert lifted.evaluate(coords) == 0 and lifted.gradient(coords) == (0, 0, 0, 0)
         forms.append(form)
-    reports = [is_smooth(form) for form in forms]
-    assert [r.smooth for r in reports] == [groebner_smooth(form) for form in forms]
-    assert {r.smooth for r in reports[:8]} == {True, False}
-    assert not any(r.smooth for r in reports[8:])
-    for form, report in zip(forms, reports):
-        if report.witness is not None:
-            degree, coords = report.witness
+    smooth = [is_smooth(form) for form in forms]
+    assert smooth == [groebner_smooth(form) for form in forms]
+    assert set(smooth[:8]) == {True, False}
+    assert not any(smooth[8:])
+    for form, flag in zip(forms, smooth):
+        witness = None if flag else singular_witness(form)
+        if witness is not None:
+            degree, coords = witness
             lifted = form.embed(make_extension(p, degree))
             assert lifted.evaluate(coords) == 0 and lifted.gradient(coords) == (0, 0, 0, 0)
 
@@ -473,6 +498,18 @@ def test_classify_point_builds_no_extension_field(monkeypatch):
     assert kinds[PointKind.ELLIPTIC] == 4
 
 
+def test_classify_point_rejects_a_point_off_the_surface():
+    with pytest.raises(PointNotOnSurface):
+        classify_point(fermat_cubic(F13), ProjPoint(F13, (1, 0, 0, 0)))
+
+
+def test_classify_point_rejects_a_singular_point():
+    with pytest.raises(SingularPoint):
+        classify_point(CONE_F13, ProjPoint(F13, (0, 0, 0, 1)))
+    with pytest.raises(SingularPoint):
+        classify_point(TRIPLE_PLANE_F5, ProjPoint(F5, (0, 1, 2, 3)))
+
+
 @pytest.mark.parametrize("p, k, seed", [(7, 1, 4), (2, 2, 2), (3, 2, 0)])
 def test_tangent_pencil_identity(p, k, seed):
     """F(lam*u + mu*w) = mu^2 (lam cone(w) + mu cubic(w)) on sampled tangent lines."""
@@ -622,8 +659,7 @@ def test_gauss_map_rejects_transverse_line():
 
 
 def test_char2_surface_is_smooth():
-    report = is_smooth(surface_with_27_lines_over_f64())
-    assert report
+    assert is_smooth(surface_with_27_lines_over_f64()) is True
 
 
 def test_char2_surface_has_27_lines_over_f64():
