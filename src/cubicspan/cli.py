@@ -28,7 +28,6 @@ from .hsgroup import hs_structure
 from .planecubic import pic_mod
 from .projgeo import ProjPoint, skew
 from .reduction import (
-    FAMILY_MODULUS,
     family_tag,
     point_search,
     rank_bound_m,
@@ -38,6 +37,7 @@ from .reduction import (
 )
 from .span import SpanTable, span_closure, verify_skew_singleton_span
 from .surface import (
+    FAMILIES,
     CubicForm,
     classify_point,
     fermat_cubic,
@@ -262,7 +262,7 @@ def _cmd_pic(args) -> int:
 
 def _cmd_reduce(args) -> int:
     family = family_tag(args.family)
-    n = FAMILY_MODULUS[family]
+    n = FAMILIES[family].modulus
     points = point_search(family, args.M, args.height)
     quotient = pic_mod(args.p, n)
     class_index = {rep: i for i, rep in enumerate(quotient.reps)}

@@ -566,12 +566,12 @@ class CubicRoots:
 
     rational: ((s, t), multiplicity) pairs with s in {0, 1}; (0, 1) is the
     root at infinity.  extension_roots counts the remaining roots of the
-    form, which live in a proper extension of the stated degree.
+    form: 0, or the degree (2 or 3) of the irreducible factor left over,
+    whose roots live in the extension of that degree.
     """
 
     rational: tuple[tuple[tuple[int, int], int], ...]
     extension_roots: int
-    extension_degree: int | None
     #: coefficients (ascending in t at s = 1) of the irreducible factor left
     #: after deflating all rational roots; empty when fully rational
     leftover: tuple[int, ...] = ()
@@ -619,7 +619,6 @@ def roots_of_cubic(field: ExtField, coeffs: Sequence[int]) -> CubicRoots:
     return CubicRoots(
         rational=tuple(sorted(roots)),
         extension_roots=leftover,
-        extension_degree=leftover if leftover else None,
         leftover=tuple(work) if leftover else (),
     )
 

@@ -60,9 +60,6 @@ from .surface import FAMILIES, CubicForm, family_tag
 FAMILY_S = "S_M"
 FAMILY_SPRIME = "Sprime_M"
 
-#: quotient modulus used by each family
-FAMILY_MODULUS = {tag: fam.modulus for tag, fam in FAMILIES.items()}
-
 #: cap on the height of point_search, which holds all (H+1)(2H+1) cube
 #: sums x^3 + y^3 with y >= x while it searches
 MAX_SEARCH_HEIGHT = 1000
@@ -159,10 +156,10 @@ def _quotient(p: int, n: int) -> PicQuotient:
 def reduction_class(point: SurfacePoint, p: int) -> PicClass:
     """The class of the reduction minus the base flex in Pic0/n.
 
-    n is the family's modulus (FAMILY_MODULUS).  The bad locus maps to the
-    zero class, extending the good-reduction map continuously.
+    n is the family's modulus (FAMILIES[tag].modulus).  The bad locus maps
+    to the zero class, extending the good-reduction map continuously.
     """
-    quotient = _quotient(p, FAMILY_MODULUS[family_tag(point.family)])
+    quotient = _quotient(p, FAMILIES[family_tag(point.family)].modulus)
     red = reduce_to_curve(point, p)
     return quotient.class_of(red.point if red.point is not None else base_point(p))
 
@@ -521,7 +518,7 @@ def verify_line_relation(param: GoodLineParam, family: str, m: int, p: int) -> L
         family=family,
         m=m,
         p=p,
-        modulus=FAMILY_MODULUS[family],
+        modulus=FAMILIES[family].modulus,
         points=cycle,
         relation_holds=total.is_zero,
         reduction_contained=contained,
@@ -699,7 +696,7 @@ def rank_lower_bound(
     up front when the two differ.
     """
     family = family_tag(family)
-    n = FAMILY_MODULUS[family]
+    n = FAMILIES[family].modulus
     primes = tuple(primes)
     if not primes:
         raise ValueError("need at least one prime")

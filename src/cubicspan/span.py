@@ -49,6 +49,13 @@ from .surface import (
 #: refuse to build a pair table beyond this many (point, point) entries
 PAIR_TABLE_BUDGET = 4_000_000
 
+#: largest subset size minimal_generators searches
+GENERATOR_SIZE_LIMIT = 3
+
+#: refuse a minimal_generators size level that would push the total number
+#: of closure runs past this
+GENERATOR_CLOSURE_BUDGET = 20_000
+
 
 def surface_points(form: CubicForm) -> list[ProjPoint]:
     """All rational points of the surface, in the canonical chart order."""
@@ -73,12 +80,17 @@ class SpanTable:
 
     spanning_lines is the number of lines a closure that reaches every
     point examines, filled in by the first such closure (see closure).
+
+    A field above the flat-table limit raises BudgetExceeded before any
+    point is scanned; a point set with more than PAIR_TABLE_BUDGET pairs
+    raises it before any gradient is taken.
     """
 
     __slots__ = ("form", "points", "index", "pair_third", "tangent_thirds", "spanning_lines")
 
     def __init__(self, form: CubicForm):
         f = form.field
+        add, mul, neg = f.flat_tables()
         points = surface_points(form)
         n = len(points)
         if n * n > PAIR_TABLE_BUDGET:
@@ -89,7 +101,6 @@ class SpanTable:
         self.index = index
         grads = [form.gradient(p.coords) for p in points]
         q = f.q
-        add, mul, neg = f.flat_tables()
         # inverses premultiplied by q, ready to index a row of mul
         inv_row = [0] + [f.inv(a) * q for a in range(1, q)]
 
@@ -462,8 +473,8 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
 class MinimalGenerators:
     """Result of the exhaustive minimal-generator search.
 
-    exceeded is True when every size up to r_max was searched without a
-    spanning set; r is then None.
+    exceeded is True when every size up to GENERATOR_SIZE_LIMIT was
+    searched without a spanning set; r is then None.
     """
 
     r: Optional[int]
@@ -472,28 +483,23 @@ class MinimalGenerators:
     closures_run: int
 
 
-def minimal_generators(
-    form: CubicForm,
-    r_max: int = 3,
-    table: Optional[SpanTable] = None,
-    closure_budget: int = 20_000,
-) -> MinimalGenerators:
+def minimal_generators(form: CubicForm, table: Optional[SpanTable] = None) -> MinimalGenerators:
     """The least r with a size-r set spanning S(F_q), searched exhaustively.
 
-    Subset size grows from 1 to r_max; candidate sets are enumerated in
-    point order and the first spanning witness is returned.  The search
-    refuses to start a size level whose subset count would push the total
-    number of closure runs past closure_budget.
+    Subset size grows from 1 to GENERATOR_SIZE_LIMIT; candidate sets are
+    enumerated in point order and the first spanning witness is returned.
+    The search refuses to start a size level whose subset count would push
+    the total number of closure runs past GENERATOR_CLOSURE_BUDGET.
     """
     if table is None:
         table = SpanTable(form)
     n = len(table.points)
     runs = 0
-    for r in range(1, r_max + 1):
+    for r in range(1, GENERATOR_SIZE_LIMIT + 1):
         level = comb(n, r)
-        if runs + level > closure_budget:
+        if runs + level > GENERATOR_CLOSURE_BUDGET:
             raise BudgetExceeded(
-                f"size-{r} search needs {level} closures (budget {closure_budget})"
+                f"size-{r} search needs {level} closures (budget {GENERATOR_CLOSURE_BUDGET})"
             )
         for combo in combinations(range(n), r):
             runs += 1

@@ -6,11 +6,13 @@ integers (for the two named rational families).  All geometric routines
 work over finite fields; the integer domain supports evaluation,
 gradients and restriction, which is what the reduction machinery needs.
 
-Enumeration of lines on a surface does not walk all of the roughly q^4
-candidate matrices.  Each canonical row pattern is scanned through the
-zero sets of the restrictions of the form to coordinate planes, so only
-row pairs whose basis points already lie on the surface are tested for
-full containment.
+One streaming scan, _zeros, lists the surface points of an affine chart:
+it restricts the form to the chart's coordinate plane or line and runs
+Horner's rule over the field codes.  zero_points is that scan over the
+four charts whose first nonzero coordinate is 1.  lines_on_surface draws
+both rows of every canonical line basis from the same scan, so it does
+not walk all of the roughly q^4 candidate matrices: only row pairs whose
+rows already lie on the surface are tested for full containment.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -108,17 +111,7 @@ def _mono_indices(mono: Sequence[int]) -> tuple[int, ...]:
 
 def _evaluate_terms(field, terms, coords):
     """The value of sum c * x_i x_j ... at a point."""
-    if field is None:
-        total = 0
-        for c, idxs in terms:
-            t = c
-            for i in idxs:
-                t *= coords[i]
-                if t == 0:
-                    break
-            total += t
-        return total
-    add, mul = field.add, field.mul
+    add, mul = _ops(field)
     total = 0
     for c, idxs in terms:
         t = c
@@ -397,28 +390,42 @@ def _scan_pair_zeros(form: CubicForm, base, u, v) -> Iterator[tuple[int, int]]:
                 yield (a, b)
 
 
-def _scan_line_zeros(form: CubicForm, u, v) -> Iterator[int]:
-    """t with F(u + t*v) = 0, ascending by code."""
+def _zeros(form: CubicForm, base, free) -> Iterator[tuple[int, ...]]:
+    """Surface points base + sum x_j * e_j over the free coordinates j.
+
+    base is zero at the 0-3 free coordinates; the points come in code order
+    with the last free coordinate fastest.
+    """
     f = form.field
-    add, mul = f.add, f.mul
-    c0, c1, c2, c3 = form.restrict_to_line(u, v)
-    for t in range(f.q):
-        if add(mul(add(mul(add(mul(c3, t), c2), t), c1), t), c0) == 0:
-            yield t
+    if len(free) == 3:
+        lead = list(base)
+        for x in range(f.q):
+            lead[free[0]] = x
+            yield from _zeros(form, tuple(lead), free[1:])
+    elif len(free) == 2:
+        j, k = free
+        point = list(base)
+        for a, b in _scan_pair_zeros(form, base, _UNIT[j], _UNIT[k]):
+            point[j] = a
+            point[k] = b
+            yield tuple(point)
+    elif free:
+        (j,) = free
+        add, mul = f.add, f.mul
+        c0, c1, c2, c3 = form.restrict_to_line(base, _UNIT[j])
+        point = list(base)
+        for t in range(f.q):
+            if add(mul(add(mul(add(mul(c3, t), c2), t), c1), t), c0) == 0:
+                point[j] = t
+                yield tuple(point)
+    elif form.evaluate(base) == 0:
+        yield base
 
 
 def zero_points(form: CubicForm) -> Iterator[tuple[int, ...]]:
     """All F_q-points of the surface, in the canonical chart-by-chart order."""
-    f = form.field
-    for y in range(f.q):
-        for z, w in _scan_pair_zeros(form, (1, y, 0, 0), _UNIT[2], _UNIT[3]):
-            yield (1, y, z, w)
-    for z, w in _scan_pair_zeros(form, _UNIT[1], _UNIT[2], _UNIT[3]):
-        yield (0, 1, z, w)
-    for t in _scan_line_zeros(form, _UNIT[2], _UNIT[3]):
-        yield (0, 0, 1, t)
-    if form.evaluate(_UNIT[3]) == 0:
-        yield (0, 0, 0, 1)
+    for lead in range(4):
+        yield from _zeros(form, _UNIT[lead], range(lead + 1, 4))
 
 
 # -- lines on the surface ----------------------------------------------
@@ -427,10 +434,15 @@ def zero_points(form: CubicForm) -> Iterator[tuple[int, ...]]:
 def lines_on_surface(form: CubicForm, extension: int = 1) -> list[Line3]:
     """Every line of P^3 over F_{q^extension} contained in the surface.
 
-    Scans the six canonical row patterns through precomputed zero sets, so
-    only candidates whose two basis points (and, for the dense pattern, the
-    basis sum) lie on the surface reach the exact containment check.
-    An extension field with q^2 above LINE_SCAN_BUDGET raises BudgetExceeded.
+    A line has one canonical basis of two rows in reduced echelon form,
+    with pivots p0 < p1.  Both rows are surface points, so for each of the
+    six pivot patterns the second rows are the zero set of the form on the
+    coordinates after p1 (with x_p1 = 1), and the first rows stream from
+    the same scan on the coordinates after p0 other than p1.  A pattern
+    with no second row is skipped unscanned; the dense pattern (0, 1) also
+    requires the row sum on the surface.  Only the surviving row pairs
+    reach the exact containment check.  An extension field with q^2 above
+    LINE_SCAN_BUDGET raises BudgetExceeded.
     """
     f = form.field
     ext = make_extension(f.p, f.k * extension)
@@ -438,54 +450,19 @@ def lines_on_surface(form: CubicForm, extension: int = 1) -> list[Line3]:
         raise BudgetExceeded(f"line scan over GF({ext.q}) exceeds the pair budget")
     g = form.embed(ext) if ext is not f else form
     add = ext.add
-    e0, e1, e2, e3 = _UNIT
-
-    def contained(r0, r1):
-        return not any(g.restrict_to_line(r0, r1))
-
     found = []
-    # pivots (0, 1): rows (1,0,a,b), (0,1,c,d); filter by the two basis
-    # points and their sum before the exact check
-    z1 = list(_scan_pair_zeros(g, e0, e2, e3))
-    z2 = list(_scan_pair_zeros(g, e1, e2, e3))
-    z3 = set(_scan_pair_zeros(g, (1, 1, 0, 0), e2, e3))
-    for a, b in z1:
-        for c, d in z2:
-            if (add(a, c), add(b, d)) in z3:
-                rows = ((1, 0, a, b), (0, 1, c, d))
-                if contained(*rows):
-                    found.append(rows)
-    # pivots (0, 2): rows (1,a,0,b), (0,0,1,c)
-    z1 = list(_scan_pair_zeros(g, e0, e1, e3))
-    z2 = list(_scan_line_zeros(g, e2, e3))
-    for a, b in z1:
-        for c in z2:
-            rows = ((1, a, 0, b), (0, 0, 1, c))
-            if contained(*rows):
-                found.append(rows)
-    # pivots (0, 3): rows (1,a,b,0), (0,0,0,1)
-    if g.evaluate(e3) == 0:
-        for a, b in _scan_pair_zeros(g, e0, e1, e2):
-            rows = ((1, a, b, 0), (0, 0, 0, 1))
-            if contained(*rows):
-                found.append(rows)
-    # pivots (1, 2): rows (0,1,0,a), (0,0,1,b)
-    z1 = list(_scan_line_zeros(g, e1, e3))
-    z2 = list(_scan_line_zeros(g, e2, e3))
-    for a in z1:
-        for b in z2:
-            rows = ((0, 1, 0, a), (0, 0, 1, b))
-            if contained(*rows):
-                found.append(rows)
-    # pivots (1, 3): rows (0,1,a,0), (0,0,0,1)
-    if g.evaluate(e3) == 0:
-        for a in _scan_line_zeros(g, e1, e2):
-            rows = ((0, 1, a, 0), (0, 0, 0, 1))
-            if contained(*rows):
-                found.append(rows)
-    # pivots (2, 3): the single row pair (0,0,1,0), (0,0,0,1)
-    if contained(e2, e3):
-        found.append((e2, e3))
+    for p0, p1 in combinations(range(4), 2):
+        seconds = list(_zeros(g, _UNIT[p1], range(p1 + 1, 4)))
+        if not seconds:
+            continue
+        # rows (1,0,a,b), (0,1,c,d) also need (1,1,a+c,b+d) on the surface
+        sums = set(_zeros(g, (1, 1, 0, 0), (2, 3))) if (p0, p1) == (0, 1) else None
+        for r0 in _zeros(g, _UNIT[p0], [j for j in range(p0 + 1, 4) if j != p1]):
+            for r1 in seconds:
+                if sums is not None and (1, 1, add(r0[2], r1[2]), add(r0[3], r1[3])) not in sums:
+                    continue
+                if not any(g.restrict_to_line(r0, r1)):
+                    found.append((r0, r1))
     found.sort(key=lambda rows: rows[0] + rows[1])
     return [Line3(ext, rows, _canonical=True) for rows in found]
 
@@ -596,12 +573,12 @@ def intersect_line(form: CubicForm, line: Line3) -> IntersectionDivisor:
         DivisorEntry(line.point_at(s, t), mult, 1) for (s, t), mult in cr.rational
     ]
     unresolved: list[tuple[int, int]] = []
-    if cr.extension_roots:
-        if cr.extension_degree == 2:
-            ext, lifted = _quadratic_lift(f, cr.leftover, u, v)
-            entries.extend(DivisorEntry(ProjPoint(ext, c), mult, 2) for c, mult in lifted)
-        else:
-            unresolved.append((cr.extension_degree, cr.extension_roots))
+    if cr.extension_roots == 2:
+        ext, lifted = _quadratic_lift(f, cr.leftover, u, v)
+        entries.extend(DivisorEntry(ProjPoint(ext, c), mult, 2) for c, mult in lifted)
+    elif cr.extension_roots:
+        # an irreducible cubic factor: degree 3, three conjugate roots
+        unresolved.append((3, 3))
     return IntersectionDivisor(line, False, tuple(entries), tuple(unresolved))
 
 

@@ -96,7 +96,6 @@ from cubicspan.projgeo import (
     skew,
 )
 from cubicspan.reduction import (
-    FAMILY_MODULUS,
     FAMILY_S,
     GoodLineParam,
     RankBoundReport,
@@ -113,6 +112,7 @@ from cubicspan.reduction import (
 )
 from cubicspan.span import SpanLemmaReport, SpanTable
 from cubicspan.surface import (
+    FAMILIES,
     CubicForm,
     PointClass,
     PointKind,
@@ -270,7 +270,7 @@ def per_point_coverage(points, p: int) -> ReductionCoverage:
 def per_point_rank_bound(family: str, primes, points) -> RankBoundReport:
     """The rank bound with one row per point; no hypothesis checks."""
     family = family_tag(family)
-    n = FAMILY_MODULUS[family]
+    n = FAMILIES[family].modulus
     primes = tuple(primes)
     m = rank_bound_m(family, primes)
 

@@ -159,12 +159,12 @@ def test_roots_of_cubic_irreducible_and_partial():
     f7 = make_extension(7, 1)
     # t^3 - 3 has no roots mod 7 (cubes mod 7 are 0, 1, 6)
     res = roots_of_cubic(f7, (4, 0, 0, 1))
-    assert res.rational == () and res.extension_roots == 3 and res.extension_degree == 3
+    assert res.rational == () and res.extension_roots == 3
     # t^2 + 1 times (t - 3): exactly one rational root
     # (t-3)(t^2+1) = t^3 - 3t^2 + t - 3
     res = roots_of_cubic(f7, (4, 1, 4, 1))
     assert res.rational == (((1, 3), 1),)
-    assert res.extension_roots == 2 and res.extension_degree == 2
+    assert res.extension_roots == 2
 
 
 def test_roots_of_cubic_multiplicity_and_infinity():

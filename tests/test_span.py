@@ -475,13 +475,15 @@ def test_minimal_generators_fermat_f13(fermat13_table):
     assert result.closures_run >= 1
 
 
-def test_minimal_generators_budget(fermat13_table):
+def test_minimal_generators_budget(fermat13_table, monkeypatch):
+    monkeypatch.setattr(span, "GENERATOR_CLOSURE_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
-        minimal_generators(fermat13_table.form, table=fermat13_table, closure_budget=100)
+        minimal_generators(fermat13_table.form, table=fermat13_table)
 
 
-def test_minimal_generators_exceeds_r_max(fermat5_table):
-    result = minimal_generators(fermat5_table.form, r_max=0, table=fermat5_table)
+def test_minimal_generators_exceeds_r_max(fermat5_table, monkeypatch):
+    monkeypatch.setattr(span, "GENERATOR_SIZE_LIMIT", 0)
+    result = minimal_generators(fermat5_table.form, table=fermat5_table)
     assert result.r is None
     assert result.exceeded
     assert result.witness == ()
@@ -584,3 +586,12 @@ def test_pair_table_budget(fermat5_table, monkeypatch):
     monkeypatch.setattr(span, "PAIR_TABLE_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
         SpanTable(fermat5_table.form)
+
+
+def test_table_refuses_a_field_above_the_flat_limit_before_scanning(monkeypatch):
+    def no_scan(form):
+        raise AssertionError("zero_points ran")
+
+    monkeypatch.setattr(span, "zero_points", no_scan)
+    with pytest.raises(BudgetExceeded):
+        SpanTable(fermat_cubic(make_extension(257, 1)))

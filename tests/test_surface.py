@@ -39,6 +39,7 @@ from cubicspan.surface import (
 from oracles import (
     GammaType,
     asymptotic_lines,
+    enumerate_lines,
     enumerate_point_tuples,
     gamma_curve,
     gauss_on_line,
@@ -158,6 +159,31 @@ def test_zero_points_matches_brute_force():
     brute = [c for c in enumerate_point_tuples(F5) if form.evaluate(c) == 0]
     assert fast == brute
     assert len(fast) == 31
+
+
+def test_scans_match_brute_force_in_every_coordinate_order():
+    f4 = make_extension(2, 2)
+    base = surface_with_27_lines_over_f64().embed(f4)
+    all_points = list(enumerate_point_tuples(f4))
+    all_lines = sorted(enumerate_lines(f4), key=lambda line: line.rows[0] + line.rows[1])
+    patterns = Counter()
+    # scales outside GF(2), so no Frobenius symmetry can hide a scan error
+    scales = (1, 2, 3, 2)
+    for perm in itertools.permutations(range(4)):
+        basis = [tuple(c if i == j else 0 for i in range(4)) for j, c in zip(perm, scales)]
+        form = CubicForm(f4, base.restrict_to_plane(basis))
+        assert list(zero_points(form)) == [c for c in all_points if form.evaluate(c) == 0]
+        lines = lines_on_surface(form)
+        contained = [
+            line for line in all_lines
+            if all(form.evaluate(p.coords) == 0 for p in line.points())
+        ]
+        assert lines == contained
+        patterns.update(tuple(row.index(1) for row in line.rows) for line in lines)
+    # every pivot pattern of the line scan is exercised
+    assert patterns == Counter(
+        {(0, 1): 128, (0, 2): 34, (0, 3): 24, (1, 2): 12, (1, 3): 10, (2, 3): 8}
+    )
 
 
 def test_fermat_f13_has_27_lines():
