@@ -14,12 +14,15 @@ surface be preprocessed into an integer table of third-point indices;
 closure runs are then pure index pushing.
 
 The preprocessing runs on the field's flat add/mul/neg tables
-(ExtField.flat_tables).  A secant that meets the surface in three distinct
-points is solved once, from whichever of its pairs comes first, and fills
-all three pair entries.  The tangent pencil at a point P is one line of
-second points e0 + t*e1 (then e1): surface.tangent_pencil restricts F and
-sum_m P_m dF/dx_m to it once, and each pencil line reads its two
-coefficients off those polynomials by Horner's rule in t.
+(ExtField.flat_tables), and so does the point scan under it (see
+surface.py).  A secant that meets the surface in three distinct points is
+solved once, from whichever of its pairs comes first, and fills all three
+pair entries.  The tangent pencil at a point P is one line of second
+points e0 + t*e1 (then e1): surface.tangent_pencil restricts F and the
+polar quadric sum_m P_m dF/dx_m to it once each, and each pencil line
+reads its two coefficients off those polynomials by Horner's rule in t.
+The span checks skip Eckardt points by surface.is_eckardt, which reads
+only the polar quadric.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from .errors import (
 from .projgeo import Line3, ProjPoint, skew
 from .surface import (
     CubicForm,
-    PointKind,
-    classify_point,
+    is_eckardt,
+    is_smooth,
     lines_on_surface,
     tangent_pencil,
     zero_points,
@@ -82,8 +85,10 @@ class SpanTable:
     point examines, filled in by the first such closure (see closure).
 
     A field above the flat-table limit raises BudgetExceeded before any
-    point is scanned; a point set with more than PAIR_TABLE_BUDGET pairs
-    raises it before any gradient is taken.
+    point is scanned, and so does a smooth surface over a field with
+    (q - 1)^4 > PAIR_TABLE_BUDGET: it has at least (q - 1)^2 points (the
+    Weil-Manin count).  Any other point set with more than
+    PAIR_TABLE_BUDGET pairs raises it before any gradient is taken.
     """
 
     __slots__ = ("form", "points", "index", "pair_third", "tangent_thirds", "spanning_lines")
@@ -91,6 +96,9 @@ class SpanTable:
     def __init__(self, form: CubicForm):
         f = form.field
         add, mul, neg = f.flat_tables()
+        q = f.q
+        if (q - 1) ** 4 > PAIR_TABLE_BUDGET and is_smooth(form):
+            raise BudgetExceeded(f"a smooth surface over GF({q}) has at least {(q - 1) ** 2} points")
         points = surface_points(form)
         n = len(points)
         if n * n > PAIR_TABLE_BUDGET:
@@ -100,7 +108,6 @@ class SpanTable:
         index = {p.coords: i for i, p in enumerate(points)}
         self.index = index
         grads = [form.gradient(p.coords) for p in points]
-        q = f.q
         # inverses premultiplied by q, ready to index a row of mul
         inv_row = [0] + [f.inv(a) * q for a in range(1, q)]
 
@@ -330,7 +337,7 @@ def verify_skew_singleton_span(
             if i in seen:
                 continue
             seen.add(i)
-            if classify_point(form, table.points[i]).kind is PointKind.ECKARDT:
+            if is_eckardt(form, table.points[i]):
                 skipped += 1
                 continue
             checked += 1
@@ -399,15 +406,7 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
         raise ConfigurationAbsent("the surface has no rational line")
     n = len(table.points)
     counterexample = None
-    kinds: dict[int, PointKind] = {}
     closures: dict[tuple[int, ...], bytearray] = {}
-
-    def kind_of(i: int) -> PointKind:
-        k = kinds.get(i)
-        if k is None:
-            k = classify_point(form, table.points[i]).kind
-            kinds[i] = k
-        return k
 
     def spans(seeds: tuple[int, ...], targets: Iterable[int]) -> bool:
         members = closures.get(seeds)
@@ -421,7 +420,7 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
     for line in lines:
         targets = indices[line]
         for i in sorted(targets):
-            if kind_of(i) is PointKind.ECKARDT:
+            if is_eckardt(form, table.points[i]):
                 continue
             checked_a += 1
             if not spans((i,), targets):

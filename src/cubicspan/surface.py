@@ -7,12 +7,25 @@ work over finite fields; the integer domain supports evaluation,
 gradients and restriction, which is what the reduction machinery needs.
 
 One streaming scan, _zeros, lists the surface points of an affine chart:
-it restricts the form to the chart's coordinate plane or line and runs
-Horner's rule over the field codes.  zero_points is that scan over the
-four charts whose first nonzero coordinate is 1.  lines_on_surface draws
-both rows of every canonical line basis from the same scan, so it does
-not walk all of the roughly q^4 candidate matrices: only row pairs whose
-rows already lie on the surface are tested for full containment.
+it restricts the form to the chart's coordinate plane or line and finds
+the roots of each binary cubic by one Horner scan over the field codes
+(_cubic_zeros).  zero_points is that scan over the four charts whose
+first nonzero coordinate is 1.  lines_on_surface draws both rows of every
+canonical line basis from the same scan, so it does not walk all of the
+roughly q^4 candidate matrices: only row pairs whose rows already lie on
+the surface are tested for full containment.
+
+Restriction to a line and the Horner scan have two paths with equal
+results.  Over a field with at most field._FLAT_TABLE_LIMIT elements
+they index ExtField.flat_tables (the flat path); integer forms and
+larger fields call the field's methods, or + and *, instead (the method
+path).  _flat selects the path from the field size on every call.
+Evaluation keeps one loop for both.
+
+The tangent cone at a point u is the polar quadric sum_m u_m dF/dx_m,
+restricted once to a line of the tangent plane (tangent_pencil).  It
+vanishes identically exactly at the Eckardt points, so is_eckardt and
+eckardt_points read the cone and nothing else.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
+from . import field as fieldlib
 from .errors import (
     BudgetExceeded,
     FamilyMismatch,
@@ -102,6 +116,14 @@ def _ops(field: Optional[ExtField]):
     return field.add, field.mul
 
 
+def _flat(field: Optional[ExtField]):
+    """The field's flat (add, mul, neg) tables, or None for integer forms and
+    fields above the flat-table limit.  The limit is read at every call."""
+    if field is None or field.q > fieldlib._FLAT_TABLE_LIMIT:
+        return None
+    return field.flat_tables()
+
+
 def _mono_indices(mono: Sequence[int]) -> tuple[int, ...]:
     out: list[int] = []
     for i, e in enumerate(mono):
@@ -135,8 +157,12 @@ def _restrict_terms_to_line(field, terms, u, v) -> list:
     term has one, raises it to a cubic.  A term with a factor that vanishes
     on the whole line (u_i = v_i = 0) is skipped.  Integer and field
     coefficients take the same path.  The result always has four entries;
-    a quadratic leaves the last at zero.
+    a quadratic leaves the last at zero.  Within the flat-table limit the
+    same products index the field's flat tables instead.
     """
+    tables = _flat(field)
+    if tables is not None:
+        return _restrict_flat(tables, field.q, terms, u, v)
     add, mul = _ops(field)
     c0 = c1 = c2 = c3 = 0
     for c, idxs in terms:
@@ -167,6 +193,34 @@ def _restrict_terms_to_line(field, terms, u, v) -> list:
             c1 = add(c1, mul(c, p1))
         if p2:
             c2 = add(c2, mul(c, p2))
+    return [c0, c1, c2, c3]
+
+
+def _restrict_flat(tables, q, terms, u, v) -> list:
+    """_restrict_terms_to_line's products, read off the flat tables."""
+    add, mul, _neg = tables
+    c0 = c1 = c2 = c3 = 0
+    for c, idxs in terms:
+        i, j = idxs[0], idxs[1]
+        a1, b1, a2, b2 = u[i] * q, v[i] * q, u[j], v[j]
+        if not (a1 or b1) or not (a2 or b2):
+            continue
+        p0, p1, p2 = mul[a1 + a2], add[mul[a1 + b2] * q + mul[b1 + a2]], mul[b1 + b2]
+        if len(idxs) == 3:
+            a3, b3 = u[idxs[2]], v[idxs[2]]
+            if not (a3 or b3):
+                continue
+            p0, p1, p2, p3 = (
+                mul[p0 * q + a3],
+                add[mul[p0 * q + b3] * q + mul[p1 * q + a3]],
+                add[mul[p1 * q + b3] * q + mul[p2 * q + a3]],
+                mul[p2 * q + b3],
+            )
+            c3 = add[c3 * q + mul[c * q + p3]]
+        c *= q
+        c0 = add[c0 * q + mul[c + p0]]
+        c1 = add[c1 * q + mul[c + p1]]
+        c2 = add[c2 * q + mul[c + p2]]
     return [c0, c1, c2, c3]
 
 
@@ -306,10 +360,6 @@ class CubicForm:
         """Coefficients (c0..c3) of F(s*u + t*v), with c_i on s^(3-i) t^i."""
         return tuple(_restrict_terms_to_line(self.field, self._terms, u, v))
 
-    def partial_on_line(self, i: int, u: Sequence[int], v: Sequence[int]) -> tuple:
-        """The i-th partial restricted to s*u + t*v, as (A, B, C) on s^2, st, t^2."""
-        return tuple(_restrict_terms_to_line(self.field, self._partials()[i], u, v)[:3])
-
     def restrict_to_plane(self, basis: Sequence[Sequence[int]]) -> dict:
         """Ternary cubic of the surface pulled back along three spanning vectors."""
         return _substitute_linear(self.field, self._terms, tuple(tuple(b) for b in basis))
@@ -358,36 +408,37 @@ def surface_with_27_lines_over_f64() -> CubicForm:
 # -- fast zero-set scans ------------------------------------------------
 
 
+def _cubic_zeros(f: ExtField, c0, c1, c2, c3) -> list[int]:
+    """The codes t with c0 + c1 t + c2 t^2 + c3 t^3 = 0, ascending, by Horner's rule."""
+    q = f.q
+    tables = _flat(f)
+    if tables is None:
+        add, mul = f.add, f.mul
+        return [t for t in range(q) if add(mul(add(mul(add(mul(c3, t), c2), t), c1), t), c0) == 0]
+    add, mul, _neg = tables
+    c3 *= q
+    return [
+        t for t in range(q)
+        if add[mul[add[mul[add[mul[c3 + t] * q + c2] * q + t] * q + c1] * q + t] * q + c0] == 0
+    ]
+
+
 def _scan_pair_zeros(form: CubicForm, base, u, v) -> Iterator[tuple[int, int]]:
     """(a, b) with F(base + a*u + b*v) = 0, in code order with b fastest."""
     f = form.field
     add, mul = f.add, f.mul
-    tern = form.restrict_to_plane((base, u, v))
-    biv: dict = {}
-    for (e0, e1, e2), c in tern.items():
-        key = (e1, e2)
-        prev = biv.get(key)
-        biv[key] = c if prev is None else add(prev, c)
-    items = [(k, c) for k, c in biv.items() if c]
-    q = f.q
-    for a in range(q):
+    # e0 = 3 - e1 - e2, so (e1, e2) names each term once
+    items = [(e1, e2, c) for (_e0, e1, e2), c in form.restrict_to_plane((base, u, v)).items()]
+    for a in range(f.q):
         a2 = mul(a, a)
         pw = (1, a, a2, mul(a2, a))
         cb = [0, 0, 0, 0]
-        for (e1, e2), c in items:
+        for e1, e2, c in items:
             p = pw[e1]
             if p:
                 cb[e2] = add(cb[e2], c if p == 1 else mul(c, p))
-        c0, c1, c2, c3 = cb
-        if not (c1 or c2 or c3):
-            if c0 == 0:
-                for b in range(q):
-                    yield (a, b)
-            continue
-        for b in range(q):
-            acc = add(mul(add(mul(add(mul(c3, b), c2), b), c1), b), c0)
-            if acc == 0:
-                yield (a, b)
+        for b in _cubic_zeros(f, *cb):
+            yield (a, b)
 
 
 def _zeros(form: CubicForm, base, free) -> Iterator[tuple[int, ...]]:
@@ -411,13 +462,10 @@ def _zeros(form: CubicForm, base, free) -> Iterator[tuple[int, ...]]:
             yield tuple(point)
     elif free:
         (j,) = free
-        add, mul = f.add, f.mul
-        c0, c1, c2, c3 = form.restrict_to_line(base, _UNIT[j])
         point = list(base)
-        for t in range(f.q):
-            if add(mul(add(mul(add(mul(c3, t), c2), t), c1), t), c0) == 0:
-                point[j] = t
-                yield tuple(point)
+        for t in _cubic_zeros(f, *form.restrict_to_line(base, _UNIT[j])):
+            point[j] = t
+            yield tuple(point)
     elif form.evaluate(base) == 0:
         yield base
 
@@ -585,32 +633,59 @@ def intersect_line(form: CubicForm, line: Line3) -> IntersectionDivisor:
 # -- the tangent pencil and point classification ------------------------
 
 
+def _tangent_cone(form: CubicForm, coords: Sequence[int], grad: Sequence[int]):
+    """(e0, e1, cone) of tangent_pencil, without the cubic."""
+    f = form.field
+    e0, e1 = pencil_basis(Plane3(f, grad), coords)
+    polar = [
+        (c if x == 1 else f.mul(x, c), idxs)
+        for x, part in zip(coords, form._partials()) if x for c, idxs in part
+    ]
+    return e0, e1, tuple(_restrict_terms_to_line(f, polar, e0, e1)[:3])
+
+
 def tangent_pencil(form: CubicForm, coords: Sequence[int], grad: Sequence[int]):
     """The tangent lines at a smooth surface point u as one pencil.
 
     Returns (e0, e1, cubic, cone).  (e0, e1) is projgeo.pencil_basis of the
     tangent plane at u, so the tangent lines are the lines through u and
-    w = s*e0 + t*e1.  cubic is F restricted to w and cone is
-    sum_m u_m dF/dx_m restricted to w, both as coefficient tuples
+    w = s*e0 + t*e1.  cubic is F restricted to w and cone is the polar
+    quadric sum_m u_m dF/dx_m restricted to w, both as coefficient tuples
     s-degree first.  Since F(u) = 0 and grad F(u).w = 0,
 
         F(lam*u + mu*w) = mu^2 * (lam * cone(w) + mu * cubic(w)),
 
     so the tangent line through w is inside the surface when both vanish,
     meets it to order three at u when only cone does, and otherwise meets
-    it again at cubic(w)*u - cone(w)*w.  cone is accumulated with the
-    field's methods, so the kernel also works above the flat-table limit.
+    it again at cubic(w)*u - cone(w)*w.  The polar quadric is assembled
+    from the cached partials, each scaled by its u_m, and restricted once.
     """
-    f = form.field
-    e0, e1 = pencil_basis(Plane3(f, grad), coords)
-    cubic = form.restrict_to_line(e0, e1)
-    add, mul = f.add, f.mul
-    cone = (0, 0, 0)
-    for m, x in enumerate(coords):
-        if x:
-            part = form.partial_on_line(m, e0, e1)
-            cone = tuple(add(c, mul(x, b)) for c, b in zip(cone, part))
-    return e0, e1, cubic, cone
+    e0, e1, cone = _tangent_cone(form, coords, grad)
+    return e0, e1, form.restrict_to_line(e0, e1), cone
+
+
+def _smooth_gradient(form: CubicForm, coords: Sequence[int]) -> tuple:
+    grad = form.gradient(coords)
+    if not any(grad):
+        raise SingularPoint(f"gradient vanishes at {ProjPoint(form.field, coords)}")
+    return grad
+
+
+def _on_surface(form: CubicForm, point: ProjPoint) -> tuple[int, ...]:
+    if form.evaluate(point.coords) != 0:
+        raise PointNotOnSurface(f"{point} is not on the surface")
+    return point.coords
+
+
+def _cone_vanishes(form: CubicForm, coords: Sequence[int]) -> bool:
+    return not any(_tangent_cone(form, coords, _smooth_gradient(form, coords))[2])
+
+
+def is_eckardt(form: CubicForm, point: ProjPoint) -> bool:
+    """Whether a smooth surface point is an Eckardt point: its tangent cone
+    vanishes identically.  This is the test classify_point makes first;
+    it skips the cubic, its roots and the gcd that the other kinds need."""
+    return _cone_vanishes(form, _on_surface(form, point))
 
 
 class PointKind(Enum):
@@ -658,13 +733,8 @@ def classify_point(form: CubicForm, point: ProjPoint) -> PointClass:
     means cone divides cubic, tested by their gcd over F_q.
     """
     f = form.field
-    coords = point.coords
-    if form.evaluate(coords) != 0:
-        raise PointNotOnSurface(f"{point} is not on the surface")
-    grad = form.gradient(coords)
-    if not any(grad):
-        raise SingularPoint(f"gradient vanishes at {point}")
-    _e0, _e1, cubic, cone = tangent_pencil(form, coords, grad)
+    coords = _on_surface(form, point)
+    _e0, _e1, cubic, cone = tangent_pencil(form, coords, _smooth_gradient(form, coords))
     if not any(cone):
         cr = roots_of_cubic(f, cubic)
         return PointClass(PointKind.ECKARDT, True, len(cr.rational) + cr.extension_roots)
@@ -687,7 +757,6 @@ def classify_point(form: CubicForm, point: ProjPoint) -> PointClass:
 def eckardt_points(form: CubicForm) -> list[ProjPoint]:
     """All rational Eckardt points, sorted by coordinates."""
     f = form.field
-    points = (ProjPoint(f, c) for c in zero_points(form))
-    out = [p for p in points if classify_point(form, p).kind is PointKind.ECKARDT]
+    out = [ProjPoint(f, c) for c in zero_points(form) if _cone_vanishes(form, c)]
     out.sort(key=lambda p: p.coords)
     return out

@@ -465,6 +465,11 @@ def singular_witness(form: CubicForm):
     return None
 
 
+def partial_on_line(form: CubicForm, i: int, u, v) -> tuple:
+    """The i-th partial restricted to s*u + t*v, as (A, B, C) on s^2, st, t^2."""
+    return tuple(_restrict_terms_to_line(form.field, form._partials()[i], u, v)[:3])
+
+
 def _singular_point_on_line(form: CubicForm, line: Line3):
     """A singular point of degree 2 on a contained line, if there is one.
 
@@ -477,7 +482,7 @@ def _singular_point_on_line(form: CubicForm, line: Line3):
     u, v = line.rows
     g: list[int] = []
     for i in range(4):
-        g = univariate_gcd(f, g, form.partial_on_line(i, u, v))
+        g = univariate_gcd(f, g, partial_on_line(form, i, u, v))
     if len(g) != 3 or solve_quadratic(f, g[2], g[1], g[0]):
         return None
     ext, lifted = _quadratic_lift(f, g, u, v)
@@ -696,8 +701,8 @@ def gauss_on_line(form: CubicForm, line: Line3) -> GaussMapOnLine:
         raise LineNotOnSurface(f"{line} is not contained in the surface")
     pivots = [next(i for i, c in enumerate(row) if c) for row in line.rows]
     m1, m2 = [i for i in range(4) if i not in pivots]
-    q = form.partial_on_line(m1, u, v)
-    r = form.partial_on_line(m2, u, v)
+    q = partial_on_line(form, m1, u, v)
+    r = partial_on_line(form, m2, u, v)
     if f.p == 2:
         if q[1] == 0 and r[1] == 0:
             pts = tuple(line.points())

@@ -595,3 +595,15 @@ def test_table_refuses_a_field_above_the_flat_limit_before_scanning(monkeypatch)
     monkeypatch.setattr(span, "zero_points", no_scan)
     with pytest.raises(BudgetExceeded):
         SpanTable(fermat_cubic(make_extension(257, 1)))
+
+
+@pytest.mark.parametrize("p", [47, 251])
+def test_table_refuses_a_smooth_surface_too_large_for_the_budget_before_scanning(p, monkeypatch):
+    # a smooth cubic surface has at least (q - 1)^2 points, and (q - 1)^4
+    # exceeds PAIR_TABLE_BUDGET from q = 47 on
+    def no_scan(form):
+        raise AssertionError("zero_points ran")
+
+    monkeypatch.setattr(span, "zero_points", no_scan)
+    with pytest.raises(BudgetExceeded, match="has at least"):
+        SpanTable(fermat_cubic(make_extension(p, 1)))

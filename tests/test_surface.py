@@ -12,7 +12,8 @@ from cubicspan.errors import (
     PointNotOnSurface,
     SingularPoint,
 )
-from cubicspan.field import embedding, make_extension
+from cubicspan.field import ExtField, embedding, make_extension
+from cubicspan import field as fieldlib
 from cubicspan import surface
 from cubicspan.harness import random_cubic_form, random_smooth_surface
 from cubicspan.projgeo import (
@@ -29,6 +30,7 @@ from cubicspan.surface import (
     eckardt_points,
     fermat_cubic,
     intersect_line,
+    is_eckardt,
     is_smooth,
     lines_on_surface,
     surface_with_27_lines_over_f64,
@@ -467,6 +469,73 @@ def test_eckardt_census_agrees_with_line_concurrency():
     assert census == concurrency
     assert len(census) == 18
     assert not [p for p, c in through.items() if c not in (1, 3)]
+
+
+@pytest.mark.parametrize(
+    "p, k, seed",
+    [(2, 2, "fermat"), (5, 1, "fermat"), (13, 1, "fermat")]
+    + [(p, k, seed) for p, k in ((2, 2), (7, 1), (2, 3)) for seed in (0, 1, 2)],
+)
+def test_eckardt_census_matches_the_tangent_section_oracle(p, k, seed):
+    # the census reads only the tangent cone; the oracle decomposes the
+    # whole tangent-plane section
+    f = make_extension(p, k)
+    form = fermat_cubic(f) if seed == "fermat" else random_smooth_surface(f, seed)
+    oracle = [
+        coords
+        for coords in sorted(zero_points(form))
+        if tangent_section_class(form, ProjPoint(f, coords)).kind is PointKind.ECKARDT
+    ]
+    assert [pt.coords for pt in eckardt_points(form)] == oracle
+    if seed == "fermat" and f.q in (4, 13):
+        # the Hermitian surface over GF(4) is all 45 of its points; GF(13) has 18
+        assert len(oracle) == {4: 45, 13: 18}[f.q]
+
+
+def test_is_eckardt_rejects_what_classify_point_rejects():
+    with pytest.raises(PointNotOnSurface):
+        is_eckardt(fermat_cubic(F13), ProjPoint(F13, (1, 0, 0, 0)))
+    with pytest.raises(SingularPoint):
+        is_eckardt(CONE_F13, ProjPoint(F13, (0, 0, 0, 1)))
+    with pytest.raises(SingularPoint):
+        eckardt_points(CONE_F13)
+
+
+def _surface_layer_outputs(form, samples):
+    f = form.field
+    points = list(zero_points(form))
+    return (
+        points,
+        [line.rows for line in lines_on_surface(form)],
+        [form.restrict_to_line(u, v) for u, v in samples],
+        [classify_point(form, ProjPoint(f, c)) for c in points],
+        eckardt_points(form),
+    )
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (7, 1), (3, 2), (2, 4), (5, 2)])
+def test_method_path_matches_flat_path(p, k, monkeypatch):
+    f = make_extension(p, k)
+    q = f.q
+    # built first: the sampler's smoothness certificate needs the flat tables
+    forms = [random_smooth_surface(f, seed) for seed in (0, 1)]
+    if p != 3:  # the Fermat cubic is a cube in characteristic 3
+        forms.append(fermat_cubic(f))
+    rng = random.Random(q)
+    samples = [
+        (tuple(rng.randrange(q) for _ in range(4)), tuple(rng.randrange(q) for _ in range(4)))
+        for _ in range(30)
+    ]
+    flat = [_surface_layer_outputs(form, samples) for form in forms]
+
+    def no_tables(field):
+        raise AssertionError(f"flat tables of {field} read on the method path")
+
+    # the tables stay cached, so only the limit can send the scans to the methods
+    monkeypatch.setattr(fieldlib, "_FLAT_TABLE_LIMIT", 1)
+    monkeypatch.setattr(ExtField, "flat_tables", no_tables)
+    method = [_surface_layer_outputs(form, samples) for form in forms]
+    assert method == flat
 
 
 def test_classification_census_f5():
