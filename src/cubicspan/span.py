@@ -14,8 +14,9 @@ surface be preprocessed into an integer table of third-point indices;
 closure runs are then pure index pushing.
 
 The preprocessing runs on the field's flat add/mul/neg tables
-(ExtField.flat_tables), and so does the point scan under it (see
-surface.py).  A secant that meets the surface in three distinct points is
+(ExtField.flat_tables) and refuses a field above their limit, so the
+point scan and the restrictions under it take surface.py's flat path
+too.  A secant that meets the surface in three distinct points is
 solved once, from whichever of its pairs comes first, and fills all three
 pair entries.  The tangent pencil at a point P is one line of second
 points e0 + t*e1 (then e1): surface.tangent_pencil restricts F and the

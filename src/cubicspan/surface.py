@@ -659,6 +659,8 @@ def tangent_pencil(form: CubicForm, coords: Sequence[int], grad: Sequence[int]):
     meets it to order three at u when only cone does, and otherwise meets
     it again at cubic(w)*u - cone(w)*w.  The polar quadric is assembled
     from the cached partials, each scaled by its u_m, and restricted once.
+    Both restrictions take the flat path within the flat-table limit and
+    the method path above it, so the kernel works at every field size.
     """
     e0, e1, cone = _tangent_cone(form, coords, grad)
     return e0, e1, form.restrict_to_line(e0, e1), cone
