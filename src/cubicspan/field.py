@@ -572,9 +572,6 @@ class CubicRoots:
 
     rational: tuple[tuple[tuple[int, int], int], ...]
     extension_roots: int
-    #: coefficients (ascending in t at s = 1) of the irreducible factor left
-    #: after deflating all rational roots; empty when fully rational
-    leftover: tuple[int, ...] = ()
 
     @property
     def rational_count(self) -> int:
@@ -615,12 +612,7 @@ def roots_of_cubic(field: ExtField, coeffs: Sequence[int]) -> CubicRoots:
             mult += 1
         if mult:
             roots.append(((1, t), mult))
-    leftover = len(work) - 1 if work else 0
-    return CubicRoots(
-        rational=tuple(sorted(roots)),
-        extension_roots=leftover,
-        leftover=tuple(work) if leftover else (),
-    )
+    return CubicRoots(tuple(sorted(roots)), len(work) - 1 if work else 0)
 
 
 def _eval_poly(field: ExtField, poly: Sequence[int], t: int) -> int:

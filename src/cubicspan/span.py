@@ -24,6 +24,13 @@ polar quadric sum_m P_m dF/dx_m to it once each, and each pencil line
 reads its two coefficients off those polynomials by Horner's rule in t.
 The span checks skip Eckardt points by surface.is_eckardt, which reads
 only the polar quadric.
+
+spn is a closure operator: Q in spn(B) gives spn(Q) in spn(B).  So once
+spn(Q) = S(F_q) is known, every closure that reaches Q spans the surface
+and can stop there.  verify_skew_singleton_span and verify_span_lemmas
+flag each point whose own closure spans, for the length of one call, and
+pass the flags to SpanTable.closure, which stops at the first flagged
+seed or member.  Their answers are exactly those of full runs.
 """
 
 from __future__ import annotations
@@ -192,7 +199,7 @@ class SpanTable:
         self.tangent_thirds = tangents
         self.spanning_lines: Optional[int] = None
 
-    def closure(self, seeds: Iterable[int]):
+    def closure(self, seeds: Iterable[int], spanning: Optional[bytearray] = None):
         """Grow a seed index set to its secant-tangent fixpoint.
 
         Returns (member flags, members in insertion order, added-per-round
@@ -206,18 +213,31 @@ class SpanTable:
         each pair entry that is not -1 once per unordered pair.  That
         constant is self.spanning_lines, computed by the first such run;
         seeds that already cover the surface read no entry.
+
+        spanning, if given, flags the points P already known to have
+        spn(P) = S(F_q).  The run then also stops at a flagged seed, before
+        it reads any entry, or right after it adds a flagged member.  The
+        seeds span: P in spn(B) gives spn(P) in spn(B).  Such a flagged stop
+        returns the members and rounds so far, a prefix of the full run's,
+        and as lines the entries read so far.  A run that reaches every
+        point still returns the full run's constant.  Without flags the run
+        is exactly the unflagged one.
         """
         n = len(self.points)
         table = self.pair_third
         tangents = self.tangent_thirds
+        flags = bytes(n) if spanning is None else spanning
         members = bytearray(n)
         order: list[int] = []
         position = [0] * n
+        stop = False
         for i in seeds:
             if not members[i]:
                 members[i] = 1
                 position[i] = len(order)
                 order.append(i)
+                if flags[i]:
+                    stop = True
         frontier = list(order)
         rounds = [len(frontier)]
         lines = 0
@@ -225,12 +245,14 @@ class SpanTable:
             new: list[int] = []
             added = 0
             for i in frontier:
-                if len(order) == n:
+                if stop or len(order) == n:
                     if added:
                         rounds.append(added)
-                    if self.spanning_lines is None:  # -1: the diagonal and contained secants
-                        self.spanning_lines = sum(map(len, tangents)) + (n * n - table.count(-1)) // 2
-                    return members, order, tuple(rounds), self.spanning_lines
+                    if len(order) == n:
+                        if self.spanning_lines is None:  # -1: the diagonal and contained secants
+                            self.spanning_lines = sum(map(len, tangents)) + (n * n - table.count(-1)) // 2
+                        lines = self.spanning_lines
+                    return members, order, tuple(rounds), lines
                 base = i * n
                 for k in tangents[i]:
                     lines += 1
@@ -240,6 +262,11 @@ class SpanTable:
                         order.append(k)
                         new.append(k)
                         added += 1
+                        if flags[k]:
+                            stop = True
+                            break
+                if stop:
+                    continue
                 for j in order[: position[i]]:
                     k = table[base + j]
                     if k >= 0:
@@ -250,6 +277,9 @@ class SpanTable:
                             order.append(k)
                             new.append(k)
                             added += 1
+                            if flags[k]:
+                                stop = True
+                                break
             if added:
                 rounds.append(added)
             frontier = new
@@ -303,6 +333,25 @@ def _line_point_indices(table: SpanTable, line: Line3) -> tuple[int, ...]:
     return tuple(table.index[p.coords] for p in line.points())
 
 
+def _closure_unless_spanning(
+    table: SpanTable, seeds: tuple[int, ...], spanning: bytearray
+) -> Optional[bytearray]:
+    """The member flags of spn(seeds), or None when it is all of S(F_q).
+
+    spanning flags the points P known to have spn(P) = S(F_q), and the
+    closure stops at the first of them it meets.  A closure that spans
+    flags its seed when it has only one: spanning a set of several seeds
+    says nothing about each seed alone.  A closure that does not span
+    meets no flagged point, so it runs to its fixpoint.
+    """
+    members, order, _, _ = table.closure(seeds, spanning)
+    if len(order) == len(members) or any(map(spanning.__getitem__, order)):
+        if len(seeds) == 1:
+            spanning[seeds[0]] = 1
+        return None
+    return members
+
+
 @dataclass(frozen=True)
 class SkewSingletonReport:
     """Outcome of the singleton-span check on one skew pair of lines."""
@@ -323,12 +372,17 @@ def verify_skew_singleton_span(
 
     The pair defaults to the first skew pair of rational lines in scan
     order; ConfigurationAbsent is raised when the surface has none.
+
+    Each point that spans is flagged for the rest of the call, and later
+    closures stop at the first flagged point they reach.  That is exact:
+    Q in spn(P) gives spn(Q) in spn(P), so spn(Q) = S(F_q) makes spn(P)
+    all of S(F_q) too.
     """
     if table is None:
         table = SpanTable(form)
     if pair is None:
         pair = find_skew_pair(form)
-    n = len(table.points)
+    spanning = bytearray(len(table.points))
     checked = 0
     skipped = 0
     failures = []
@@ -342,8 +396,7 @@ def verify_skew_singleton_span(
                 skipped += 1
                 continue
             checked += 1
-            _, order, _, _ = table.closure([i])
-            if len(order) != n:
+            if _closure_unless_spanning(table, (i,), spanning) is not None:
                 failures.append(table.points[i])
     return SkewSingletonReport(pair, checked, skipped, not failures, tuple(failures))
 
@@ -391,10 +444,14 @@ class SpanLemmaReport:
 def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> SpanLemmaReport:
     """Exhaustively verify the three span lemmas over S(F_q), q >= 13.
 
-    Each seed set is closed once, to its fixpoint: every non-Eckardt
-    point on a line, every line's points, and the union of each skew
-    pair.  The line checks read the member flags of those closures,
-    which are held per seed tuple for the length of the call.
+    Each seed set is closed once: every non-Eckardt point on a line,
+    every line's points, and the union of each skew pair.  A point whose
+    own closure spans S(F_q) is flagged for the rest of the call, and a
+    closure that reaches a flagged point stops there, since Q in spn(B)
+    gives spn(Q) in spn(B) and so spn(B) = S(F_q).  A closure that does
+    not span runs to its fixpoint.  The line checks read the member flags
+    of those closures, held per seed tuple for the length of the call;
+    a seed set that spans holds None instead, as every target is in it.
     counterexample describes the first failure met.
     """
     f = form.field
@@ -407,13 +464,14 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
         raise ConfigurationAbsent("the surface has no rational line")
     n = len(table.points)
     counterexample = None
-    closures: dict[tuple[int, ...], bytearray] = {}
+    spanning = bytearray(n)
+    closures: dict[tuple[int, ...], Optional[bytearray]] = {}
 
     def spans(seeds: tuple[int, ...], targets: Iterable[int]) -> bool:
-        members = closures.get(seeds)
-        if members is None:
-            members = closures[seeds] = table.closure(seeds)[0]
-        return all(members[k] for k in targets)
+        if seeds not in closures:
+            closures[seeds] = _closure_unless_spanning(table, seeds, spanning)
+        members = closures[seeds]
+        return members is None or all(members[k] for k in targets)
 
     lemma_a: Optional[bool] = None
     checked_a = 0
@@ -455,11 +513,11 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
         if lemma_b is None:
             lemma_b = True
         checked_c += 1
-        _, order, _, _ = table.closure(idx1 + idx2)
-        if len(order) != n:
+        members = _closure_unless_spanning(table, idx1 + idx2, spanning)
+        if members is not None:
             lemma_c = False
             counterexample = counterexample or (
-                f"skew pair {l1}, {l2} spans only {len(order)} of {n} points"
+                f"skew pair {l1}, {l2} spans only {members.count(1)} of {n} points"
             )
         elif lemma_c is None:
             lemma_c = True

@@ -553,83 +553,6 @@ def is_smooth(form: CubicForm) -> bool:
     return rank(f, rows()) == len(columns)
 
 
-def _quadratic_lift(field: ExtField, quad: Sequence[int], u: Sequence[int], v: Sequence[int]):
-    """The quadratic extension and (u + t*v, multiplicity) for each root t of
-    quad[0] + quad[1] t + quad[2] t^2 there, by root code."""
-    ext = make_extension(field.p, 2 * field.k)
-    emb = embedding(field, ext)
-    ue = [emb(c) for c in u]
-    ve = [emb(c) for c in v]
-    points = [
-        (tuple(ext.add(a, ext.mul(t, b)) for a, b in zip(ue, ve)), mult)
-        for t, mult in solve_quadratic(ext, emb(quad[2]), emb(quad[1]), emb(quad[0]))
-    ]
-    return ext, points
-
-
-# -- line-surface intersection ------------------------------------------
-
-
-@dataclass(frozen=True)
-class DivisorEntry:
-    point: ProjPoint
-    multiplicity: int
-    degree: int  # of the point's field of definition over the base field
-
-
-@dataclass(frozen=True)
-class IntersectionDivisor:
-    """The degree-3 cycle cut on the surface by a line not contained in it.
-
-    Entries carry exact coordinates; rational points live over the base
-    field (degree 1) and resolved conjugate pairs over its quadratic
-    extension.  Irreducible cubic factors are reported in unresolved as
-    (degree, root count) without coordinates.
-    """
-
-    line: Line3
-    contained: bool
-    entries: tuple[DivisorEntry, ...]
-    unresolved: tuple[tuple[int, int], ...]
-
-    @property
-    def fully_rational(self) -> bool:
-        return not self.contained and all(e.degree == 1 for e in self.entries) and not self.unresolved
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(e.multiplicity for e in self.entries) + sum(n for _, n in self.unresolved)
-
-    def multiplicity_at(self, point: ProjPoint) -> int:
-        for e in self.entries:
-            if e.point == point:
-                return e.multiplicity
-        return 0
-
-
-def intersect_line(form: CubicForm, line: Line3) -> IntersectionDivisor:
-    """The intersection cycle line . S as a root multiset of a binary cubic."""
-    f = form.field
-    if f is not line.field:
-        raise ValueError("line and surface live over different fields")
-    u, v = line.rows
-    coeffs = form.restrict_to_line(u, v)
-    if not any(coeffs):
-        return IntersectionDivisor(line, True, (), ())
-    cr = roots_of_cubic(f, coeffs)
-    entries = [
-        DivisorEntry(line.point_at(s, t), mult, 1) for (s, t), mult in cr.rational
-    ]
-    unresolved: list[tuple[int, int]] = []
-    if cr.extension_roots == 2:
-        ext, lifted = _quadratic_lift(f, cr.leftover, u, v)
-        entries.extend(DivisorEntry(ProjPoint(ext, c), mult, 2) for c, mult in lifted)
-    elif cr.extension_roots:
-        # an irreducible cubic factor: degree 3, three conjugate roots
-        unresolved.append((3, 3))
-    return IntersectionDivisor(line, False, tuple(entries), tuple(unresolved))
-
-
 # -- the tangent pencil and point classification ------------------------
 
 

@@ -20,10 +20,10 @@ asymptotic directions to GF(q^2); classify_point, which reads the same
 answer off the tangent pencil, is compared against it.
 
 The closure oracle reference_closure is SpanTable.closure without its
-stop at the point where a fixpoint run has reached every point: it reads
-every remaining turn, so it checks the statistics the fast path returns.
-It also keeps the stop that SpanTable.closure no longer has, once a
-given target set is all members.  reference_span_lemmas asks each span
+stops at the point where a fixpoint run has reached every point or a
+point already known to span: it reads every remaining turn, so it checks
+the statistics the fast path returns.  It also keeps the stop that
+SpanTable.closure no longer has, once a given target set is all members.  reference_span_lemmas asks each span
 lemma question of its own closure run with that stop, instead of reading
 one fixpoint closure per seed set as verify_span_lemmas does.
 
@@ -36,10 +36,11 @@ containment pointwise, checks a lemma of the paper and has no caller in
 the package.
 
 The rest is geometry and arithmetic only the tests use: Plucker
-coordinates, line-plane meets, the pencil of lines of a plane through a
-point, tangent planes, asymptotic lines, the Gauss map along a contained
-line, cube roots of unity, coordinates on a good line, and exact checks
-of the Smith transforms.
+coordinates, line-plane meets, the intersection cycle of a line with the
+surface (intersect_line, the oracle of the secant table), the pencil of
+lines of a plane through a point, tangent planes, asymptotic lines, the
+Gauss map along a contained line, cube roots of unity, coordinates on a
+good line, and exact checks of the Smith transforms.
 """
 
 import heapq
@@ -63,7 +64,9 @@ from cubicspan.errors import (
     SingularPoint,
 )
 from cubicspan.field import (
+    CubicRoots,
     ExtField,
+    _deflate,
     embedding,
     factorize,
     is_prime,
@@ -118,7 +121,6 @@ from cubicspan.surface import (
     PointKind,
     _binary_quadratic_roots,
     _mono_indices,
-    _quadratic_lift,
     _restrict_terms_to_line,
     _substitute_linear,
     classify_point,
@@ -443,6 +445,92 @@ def lines_in_plane_through(plane: Plane3, point: ProjPoint) -> list[Line3]:
 
 
 # -- surface geometry only the tests use --------------------------------
+
+
+def _quadratic_lift(field: ExtField, quad: Sequence[int], u: Sequence[int], v: Sequence[int]):
+    """The quadratic extension and (u + t*v, multiplicity) for each root t of
+    quad[0] + quad[1] t + quad[2] t^2 there, by root code."""
+    ext = make_extension(field.p, 2 * field.k)
+    emb = embedding(field, ext)
+    ue = [emb(c) for c in u]
+    ve = [emb(c) for c in v]
+    points = [
+        (tuple(ext.add(a, ext.mul(t, b)) for a, b in zip(ue, ve)), mult)
+        for t, mult in solve_quadratic(ext, emb(quad[2]), emb(quad[1]), emb(quad[0]))
+    ]
+    return ext, points
+
+
+@dataclass(frozen=True)
+class DivisorEntry:
+    point: ProjPoint
+    multiplicity: int
+    degree: int  # of the point's field of definition over the base field
+
+
+@dataclass(frozen=True)
+class IntersectionDivisor:
+    """The degree-3 cycle cut on the surface by a line not contained in it.
+
+    Entries carry exact coordinates; rational points live over the base
+    field (degree 1) and resolved conjugate pairs over its quadratic
+    extension.  Irreducible cubic factors are reported in unresolved as
+    (degree, root count) without coordinates.
+    """
+
+    line: Line3
+    contained: bool
+    entries: tuple[DivisorEntry, ...]
+    unresolved: tuple[tuple[int, int], ...]
+
+    @property
+    def fully_rational(self) -> bool:
+        return not self.contained and all(e.degree == 1 for e in self.entries) and not self.unresolved
+
+    @property
+    def total_multiplicity(self) -> int:
+        return sum(e.multiplicity for e in self.entries) + sum(n for _, n in self.unresolved)
+
+    def multiplicity_at(self, point: ProjPoint) -> int:
+        for e in self.entries:
+            if e.point == point:
+                return e.multiplicity
+        return 0
+
+
+def _leftover_factor(f: ExtField, coeffs: Sequence[int], cr: CubicRoots) -> list[int]:
+    """The factor of the cubic (ascending in t at s = 1) left once the
+    rational roots that roots_of_cubic found are divided out."""
+    work = list(coeffs)
+    while work[-1] == 0:
+        work.pop()  # a root at infinity lowers the degree in t
+    for (s, t), mult in cr.rational:
+        for _ in range(mult if s else 0):
+            work = _deflate(f, work, t)
+    return work
+
+
+def intersect_line(form: CubicForm, line: Line3) -> IntersectionDivisor:
+    """The intersection cycle line . S as a root multiset of a binary cubic."""
+    f = form.field
+    if f is not line.field:
+        raise ValueError("line and surface live over different fields")
+    u, v = line.rows
+    coeffs = form.restrict_to_line(u, v)
+    if not any(coeffs):
+        return IntersectionDivisor(line, True, (), ())
+    cr = roots_of_cubic(f, coeffs)
+    entries = [
+        DivisorEntry(line.point_at(s, t), mult, 1) for (s, t), mult in cr.rational
+    ]
+    unresolved: list[tuple[int, int]] = []
+    if cr.extension_roots == 2:
+        ext, lifted = _quadratic_lift(f, _leftover_factor(f, coeffs, cr), u, v)
+        entries.extend(DivisorEntry(ProjPoint(ext, c), mult, 2) for c, mult in lifted)
+    elif cr.extension_roots:
+        # an irreducible cubic factor: degree 3, three conjugate roots
+        unresolved.append((3, 3))
+    return IntersectionDivisor(line, False, tuple(entries), tuple(unresolved))
 
 
 def singular_witness(form: CubicForm):

@@ -33,7 +33,6 @@ from cubicspan.surface import (
     PointKind,
     classify_point,
     fermat_cubic,
-    intersect_line,
     lines_on_surface,
     surface_with_27_lines_over_f64,
     zero_points,
@@ -42,12 +41,14 @@ from cubicspan.surface import (
 from oracles import (
     asymptotic_lines,
     enumerate_lines,
+    intersect_line,
     lines_in_plane_through,
     reference_closure,
     reference_span_lemmas,
     tangent_plane,
 )
 
+F2 = make_extension(2, 1)
 F4 = make_extension(2, 2)
 F5 = make_extension(5, 1)
 F7 = make_extension(7, 1)
@@ -544,16 +545,106 @@ def test_span_lemmas_close_each_seed_set_once(fermat13_table, monkeypatch):
     calls = []
     closure = SpanTable.closure
 
-    def counting(self, seeds):
-        calls.append(tuple(seeds))
-        return closure(self, seeds)
+    def counting(self, seeds, spanning=None):
+        result = closure(self, seeds, spanning)
+        calls.append((tuple(seeds), len(result[1])))
+        return result
 
     monkeypatch.setattr(SpanTable, "closure", counting)
     verify_span_lemmas(fermat13_table.form, table=fermat13_table)
+    seed_sets = [seeds for seeds, _ in calls]
     # 243 non-Eckardt line points, 27 lines and 216 skew unions
-    assert len(calls) == 486
-    assert sum(len(c) == 1 for c in calls) == 243
-    assert len(set(calls)) == len(calls)
+    assert len(seed_sets) == 486
+    assert sum(len(c) == 1 for c in seed_sets) == 243
+    assert len(set(seed_sets)) == len(seed_sets)
+    # only the first closure reaches every point; each later one stops at
+    # a point already shown to span
+    assert [size for _, size in calls].count(len(fermat13_table.points)) == 1
+
+
+def _blank_points(table, blanked):
+    """Drop every pair and tangent entry at the given point indices."""
+    n = len(table.points)
+    pairs = array("i", table.pair_third)
+    for i in blanked:
+        for j in range(n):
+            pairs[i * n + j] = pairs[j * n + i] = -1
+    table.pair_third = pairs
+    table.tangent_thirds = [() if i in blanked else t for i, t in enumerate(table.tangent_thirds)]
+
+
+def test_span_lemmas_match_reference_when_only_some_closures_span():
+    form = fermat_cubic(F13)
+    table = SpanTable(form)
+    # the last line, whose Eckardt points lie on lines that are closed
+    # first, and a line skew to it
+    last = lines_on_surface(form)[-1]
+    other = next(line for line in lines_on_surface(form) if skew(line, last))
+    _blank_points(table, {table.index[p.coords] for line in (last, other) for p in line.points()})
+    report = verify_span_lemmas(form, table=table)
+    assert report == reference_span_lemmas(form, table)
+    # the blanked lines fail each lemma, and other seed sets still span
+    assert (report.line_in_point_span, report.skew_line_span, report.skew_union_spans_surface) == (
+        False, False, False,
+    )
+    n = len(table.points)
+    assert any(len(table.closure([i])[1]) == n for i in range(n))
+
+
+# GF(2) draws on which some checked points span and others do not
+MIXED_SKEW_SURFACES = {
+    **{f"f2_seed{s}": (lambda s=s: random_smooth_surface(F2, s)) for s in (0, 114, 143, 171)},
+    "fermat13": lambda: fermat_cubic(F13),
+    "fermat19": lambda: fermat_cubic(make_extension(19, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_SKEW_SURFACES))
+def test_skew_singleton_report_matches_per_point_reference(name):
+    form = MIXED_SKEW_SURFACES[name]()
+    table = SpanTable(form)
+    n = len(table.points)
+    report = verify_skew_singleton_span(form, table=table)
+    checked, skipped, failures, seen = 0, 0, [], set()
+    for line in report.pair:
+        for p in line.points():
+            i = table.index[p.coords]
+            if i in seen:
+                continue
+            seen.add(i)
+            if classify_point(form, p).kind is PointKind.ECKARDT:
+                skipped += 1
+                continue
+            checked += 1
+            if len(reference_closure(table, [i])[1]) != n:
+                failures.append(p)
+    assert report == span.SkewSingletonReport(
+        report.pair, checked, skipped, not failures, tuple(failures)
+    )
+    if form.field.q == 2:
+        assert 0 < len(failures) < checked
+
+
+def test_flagged_run_is_a_prefix_of_the_full_run(oracle_case):
+    table, lines = oracle_case
+    n = len(table.points)
+    spanning = bytearray(n)
+    for i in range(0, n, 3):
+        spanning[i] = len(reference_closure(table, [i])[1]) == n
+    for seeds in [[i] for i in range(n)] + lines:
+        full_members, full_order, _, _ = reference_closure(table, seeds)
+        members, order, rounds, lines_read = table.closure(seeds, spanning)
+        assert order == full_order[: len(order)]
+        assert bytes(members) == bytes(1 if i in order else 0 for i in range(n))
+        assert sum(rounds) == len(order)
+        if any(spanning[i] for i in seeds):
+            # a flagged seed stops the run before it reads an entry
+            assert (order, rounds, lines_read) == (list(dict.fromkeys(seeds)), (len(order),), 0)
+        elif any(spanning[i] for i in order) and len(order) < n:
+            # the run stops at the first flagged member it adds
+            assert [i for i in order if spanning[i]] == [order[-1]]
+        else:
+            assert (bytes(members), order) == (bytes(full_members), full_order)
 
 
 def test_span_lemmas_require_thirteen_elements():

@@ -29,7 +29,6 @@ from cubicspan.surface import (
     classify_point,
     eckardt_points,
     fermat_cubic,
-    intersect_line,
     is_eckardt,
     is_smooth,
     lines_on_surface,
@@ -46,6 +45,7 @@ from oracles import (
     gamma_curve,
     gauss_on_line,
     groebner_smooth,
+    intersect_line,
     lines_in_plane_through,
     singular_witness,
     tangent_plane,
@@ -586,7 +586,6 @@ def test_classify_point_builds_no_extension_field(monkeypatch):
     def refuse(*args):
         raise AssertionError("classify_point built an extension field")
 
-    monkeypatch.setattr(surface, "_quadratic_lift", refuse)
     monkeypatch.setattr(surface, "make_extension", refuse)
     form = fermat_cubic(F5)
     kinds = Counter(classify_point(form, ProjPoint(F5, c)).kind for c in zero_points(form))
