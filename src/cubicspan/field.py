@@ -574,10 +574,6 @@ class CubicRoots:
     extension_roots: int
 
     @property
-    def rational_count(self) -> int:
-        return sum(m for _, m in self.rational)
-
-    @property
     def fully_rational(self) -> bool:
         return self.extension_roots == 0
 

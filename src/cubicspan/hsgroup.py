@@ -15,14 +15,12 @@ hundred points by q = 13) but collapses: points sharing a contained line
 fall into one class, as do all tangent third points of a fixed point.
 The quotient by those identifications is exact, since each identification
 is itself a difference of two generating sums, so the classes are merged
-first and the group is computed in class space.  Each distinct sum is
-visited once: two distinct points fix their line, so a sum with two
-distinct points is read off one pair of the secant table (a secant from
-its smallest pair, 2P + Q from the pair (P, Q)) or off one contained
-line, and 3P is taken once per point.  A sum is kept only as its image,
-the sorted triple of class columns it maps to, and the relation matrix
-has one row per distinct image after the first, so its size follows the
-class count rather than the number of sums.
+first and the group is computed in class space.  The sums are counted in
+closed form off the contained lines and the tangent thirds, and listed
+only when more than one class remains; with one class H0 = 0.  A listed
+sum is kept only as its image, the sorted triple of class columns it
+maps to, and the relation matrix has one row per distinct image after
+the first, so its size follows the class count, not the number of sums.
 
 Generation of H0 by differences [P - P0] is read off a triangular
 lattice basis; Smith normal form is computed only for the canonical
@@ -33,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -249,10 +248,6 @@ class GroupStructure:
     two_torsion_dim: int
 
     @property
-    def hs_free_rank(self) -> int:
-        return self.h0_free_rank + 1
-
-    @property
     def h0_trivial(self) -> bool:
         return self.h0_free_rank == 0 and not self.invariant_factors
 
@@ -265,11 +260,13 @@ class ZPresentation:
     """H as an explicit quotient, with SNF data for canonical cosets.
 
     Points are merged into classes first (points of a contained line, and
-    the tangent third points of each point).  One pass over the generating
-    sums then counts them, each distinct sum once, and records the sorted
-    triple of class columns each one maps to.  The relation matrix is
-    built from those class-space images, reduced to a triangular lattice
-    basis, and put in Smith normal form with invertible transforms.
+    the tangent third points of each point).  sum_count, the number of
+    distinct generating sums, is counted in closed form (_count_sums).
+    When more than one class remains, one pass over the generating sums
+    records the sorted triple of class columns each one maps to; the
+    relation matrix is built from those class-space images, reduced to a
+    triangular lattice basis, and put in Smith normal form with invertible
+    transforms.  With one class the matrix is empty and no sum is listed.
     """
 
     def __init__(
@@ -305,25 +302,14 @@ class ZPresentation:
         self.column = {r: c for c, r in enumerate(self.class_reps)}
         r = len(self.class_reps)
 
-        col = [self.column[x] for x in self.rep]
-        count = 0
-        images = set()
-        for a, b, c in self._generating_sums():
-            count += 1
-            images.add((col[a], col[b], col[c]))
-        self.sum_count = count
-        # the class columns of a sorted point triple need not be sorted
-        imgs = sorted({tuple(sorted(img)) for img in images})
+        self.sum_count = self._count_sums()
         rows = []
-        if imgs:
-            base_vec = [0] * r
-            for x in imgs[0]:
-                base_vec[x] += 1
-            for img in imgs[1:]:
-                row = [-x for x in base_vec]
-                for x in img:
-                    row[x] += 1
-                rows.append(row)
+        if r > 1:  # one class leaves a degree-0 part of 0, with no row
+            col = [self.column[x] for x in self.rep]
+            images = {(col[a], col[b], col[c]) for a, b, c in self._generating_sums()}
+            # the class columns of a sorted point triple need not be sorted
+            base, *rest = sorted({tuple(sorted(img)) for img in images})
+            rows = [[img.count(c) - base.count(c) for c in range(r)] for img in rest]
         self.matrix = rows
 
         reduced = self._triangular_basis(rows, r)
@@ -331,16 +317,36 @@ class ZPresentation:
         self.snf = snf_with_transforms(reduced) if reduced else None
         self._structure: Optional[GroupStructure] = None
 
+    def _count_sums(self) -> int:
+        """The number of distinct generating sums, without listing them.
+
+        Two distinct points lie on one line, of one of three kinds: a
+        contained line L with m points, which takes C(m, 2) pairs and
+        gives 2*C(m, 2) + C(m, 3) sums; a line tangent at one of the two
+        points, which is one tangent-third entry Q != P at P (tangent at
+        both, it would meet S in degree 4 and lie in it); or a secant
+        through three distinct points, which takes three pairs and gives
+        one sum.  Distinct lines share no pair.  3P adds one sum per
+        point that is asymptotic or lies on a contained line.
+        """
+        thirds = self.table.tangent_thirds
+        tangent = sum(len(t) - t.count(i) for i, t in enumerate(thirds))
+        triple = {x for idx in self._line_indices for x in idx}
+        triple.update(i for i, t in enumerate(thirds) if i in t)
+        sizes = [len(idx) for idx in self._line_indices]
+        secant_pairs = comb(len(self.points), 2) - sum(comb(m, 2) for m in sizes) - tangent
+        if secant_pairs % 3:
+            raise AssertionError("secant pairs do not fall into threes")
+        on_lines = sum(2 * comb(m, 2) + comb(m, 3) for m in sizes)
+        return secant_pairs // 3 + tangent + len(triple) + on_lines
+
     def _generating_sums(self) -> Iterator[tuple[int, int, int]]:
         """Each distinct generating sum once, as a sorted point-index triple.
 
-        Two distinct points fix their line, so a sum with two distinct
-        points comes from one line only: a secant through three distinct
-        points is taken from its smallest pair, a tangent sum 2P + Q from
-        the pair (P, Q), and a multiset on a contained line from that
-        line.  A tangent third Q != P repeats the pair (P, Q) and is
-        skipped.  3P is taken once per point that is asymptotic or lies on
-        a contained line.
+        By the line kinds of _count_sums: a secant from its smallest pair,
+        2P + Q from the pair (P, Q), which its tangent third Q repeats, a
+        multiset on a contained line from that line, and 3P once per
+        point that is asymptotic or lies on a contained line.
         """
         table = self.table
         n = len(self.points)
@@ -430,14 +436,6 @@ class ZPresentation:
 
     def class_of(self, point: ProjPoint) -> HsClass:
         return self._canonical_class({self.rep[self._point_index(point)]: 1})
-
-    def class_diff(self, p: ProjPoint, q: ProjPoint) -> HsClass:
-        sparse: dict[int, int] = {}
-        rp = self.rep[self._point_index(p)]
-        rq = self.rep[self._point_index(q)]
-        sparse[rp] = sparse.get(rp, 0) + 1
-        sparse[rq] = sparse.get(rq, 0) - 1
-        return self._canonical_class(sparse)
 
     @property
     def structure(self) -> GroupStructure:

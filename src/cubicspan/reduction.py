@@ -406,10 +406,6 @@ class NewtonPolygon:
     segments: tuple[tuple[Fraction, int], ...]
     root_valuations: tuple[Fraction, ...]
 
-    @property
-    def positive_slope_segments(self) -> int:
-        return sum(1 for slope, _ in self.segments if slope > 0)
-
 
 def newton_polygon(coeffs: Sequence, p: int) -> NewtonPolygon:
     """Lower convex hull of the coefficient valuations."""

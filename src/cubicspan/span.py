@@ -22,8 +22,8 @@ pair entries.  The tangent pencil at a point P is one line of second
 points e0 + t*e1 (then e1): surface.tangent_pencil restricts F and the
 polar quadric sum_m P_m dF/dx_m to it once each, and each pencil line
 reads its two coefficients off those polynomials by Horner's rule in t.
-The span checks skip Eckardt points by surface.is_eckardt, which reads
-only the polar quadric.
+The span checks read Eckardt points off the tangent thirds
+(_eckardt_by_thirds), and skew pairs off the point sets of the lines.
 
 spn is a closure operator: Q in spn(B) gives spn(Q) in spn(B).  So once
 spn(Q) = S(F_q) is known, every closure that reaches Q spans the surface
@@ -50,7 +50,6 @@ from .errors import (
 from .projgeo import Line3, ProjPoint, skew
 from .surface import (
     CubicForm,
-    is_eckardt,
     is_smooth,
     lines_on_surface,
     tangent_pencil,
@@ -333,6 +332,18 @@ def _line_point_indices(table: SpanTable, line: Line3) -> tuple[int, ...]:
     return tuple(table.index[p.coords] for p in line.points())
 
 
+def _eckardt_by_thirds(table: SpanTable, i: int) -> bool:
+    """Whether point i is an Eckardt point, read off tangent_thirds[i].
+
+    A pencil line's third point is i exactly when the polar quadric (the
+    cone) vanishes on it, and a contained pencil line is skipped but has
+    a vanishing cone too.  So every entry equals i exactly when the cone,
+    a binary quadratic, vanishes at all q + 1 >= 3 pencil lines, that is
+    identically, which is surface.is_eckardt's test.
+    """
+    return all(k == i for k in table.tangent_thirds[i])
+
+
 def _closure_unless_spanning(
     table: SpanTable, seeds: tuple[int, ...], spanning: bytearray
 ) -> Optional[bytearray]:
@@ -392,7 +403,7 @@ def verify_skew_singleton_span(
             if i in seen:
                 continue
             seen.add(i)
-            if is_eckardt(form, table.points[i]):
+            if _eckardt_by_thirds(table, i):
                 skipped += 1
                 continue
             checked += 1
@@ -479,7 +490,7 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
     for line in lines:
         targets = indices[line]
         for i in sorted(targets):
-            if is_eckardt(form, table.points[i]):
+            if _eckardt_by_thirds(table, i):
                 continue
             checked_a += 1
             if not spans((i,), targets):
@@ -494,12 +505,9 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
     checked_b = 0
     lemma_c: Optional[bool] = None
     checked_c = 0
-    skew_pairs = [
-        (l1, l2)
-        for i, l1 in enumerate(lines)
-        for l2 in lines[i + 1 :]
-        if skew(l1, l2)
-    ]
+    # rational lines that meet do so in a Galois-fixed, so rational, point
+    skew_pairs = [(l1, l2) for i, l1 in enumerate(lines) for l2 in lines[i + 1 :]
+                  if set(indices[l1]).isdisjoint(indices[l2])]
     for l1, l2 in skew_pairs:
         idx1 = indices[l1]
         idx2 = indices[l2]

@@ -40,7 +40,9 @@ coordinates, line-plane meets, the intersection cycle of a line with the
 surface (intersect_line, the oracle of the secant table), the pencil of
 lines of a plane through a point, tangent planes, asymptotic lines, the
 Gauss map along a contained line, cube roots of unity, coordinates on a
-good line, and exact checks of the Smith transforms.
+good line, the rational root count of a binary cubic, the positive
+slopes of a Newton polygon, the difference class [P - Q], the free rank
+of H, and exact checks of the Smith transforms.
 """
 
 import heapq
@@ -76,6 +78,8 @@ from cubicspan.field import (
     univariate_gcd,
 )
 from cubicspan.hsgroup import (
+    GroupStructure,
+    HsClass,
     ZPresentation,
     _identity,
     snf_with_transforms,
@@ -101,6 +105,7 @@ from cubicspan.projgeo import (
 from cubicspan.reduction import (
     FAMILY_S,
     GoodLineParam,
+    NewtonPolygon,
     RankBoundReport,
     ReductionCoverage,
     SurfacePoint,
@@ -819,6 +824,16 @@ def gauss_on_line(form: CubicForm, line: Line3) -> GaussMapOnLine:
 # -- arithmetic only the tests use --------------------------------------
 
 
+def rational_count(roots: CubicRoots) -> int:
+    """The rational roots of a binary cubic, with multiplicity."""
+    return sum(m for _, m in roots.rational)
+
+
+def positive_slope_segments(newton: NewtonPolygon) -> int:
+    """The segments of a Newton polygon with positive slope."""
+    return sum(1 for slope, _ in newton.segments if slope > 0)
+
+
 def cube_roots_of_unity(field: ExtField) -> list[int]:
     """All cube roots of unity in the field, sorted by code."""
     if field.q % 3 != 1:
@@ -883,6 +898,16 @@ def bareiss_det(m: Sequence[Sequence[int]]) -> int:
 
 
 # -- the class-group presentation ---------------------------------------
+
+
+def class_diff(pres: ZPresentation, p: ProjPoint, q: ProjPoint) -> HsClass:
+    """The canonical class of P - Q."""
+    return pres.class_of(p) - pres.class_of(q)
+
+
+def hs_free_rank(structure: GroupStructure) -> int:
+    """The free rank of H, one more than that of H0 (H/H0 = Z)."""
+    return structure.h0_free_rank + 1
 
 
 def verify_presentation(pres: ZPresentation) -> None:

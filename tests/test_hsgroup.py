@@ -15,18 +15,21 @@ from cubicspan.hsgroup import (
     snf_with_transforms,
     ternary_bound_check,
 )
-from cubicspan.projgeo import ProjPoint
-from cubicspan.span import SpanTable
+from cubicspan.projgeo import ProjPoint, skew
+from cubicspan.span import SpanTable, _eckardt_by_thirds, verify_span_lemmas
 from cubicspan.surface import (
     CubicForm,
     fermat_cubic,
+    is_eckardt,
     lines_on_surface,
 )
 
 from oracles import (
     GammaType,
     bareiss_det,
+    class_diff,
     gamma_curve,
+    hs_free_rank,
     mat_mul,
     point_level_presentation,
     smith_difference_classes_generate,
@@ -113,7 +116,7 @@ def test_presentation_collapses_fermat_f13(fermat13_presentation):
     assert s.h0_trivial
     assert s.invariant_factors == ()
     assert s.h0_free_rank == 0
-    assert s.hs_free_rank == 1
+    assert hs_free_rank(s) == 1
     assert s.h0_dim_mod2 == 0 and s.h0_dim_mod3 == 0
 
 
@@ -158,7 +161,7 @@ def test_class_diff_same_line_vanishes(fermat5_presentation):
     line = lines_on_surface(pres.form)[0]
     pts = line.points()
     for q in pts[1:]:
-        assert pres.class_diff(pts[0], q).is_zero
+        assert class_diff(pres, pts[0], q).is_zero
 
 
 def test_class_diff_on_nodal_and_cuspidal_sections(fermat5_presentation):
@@ -176,17 +179,17 @@ def test_class_diff_on_nodal_and_cuspidal_sections(fermat5_presentation):
         smooth_pts = [q for q in pres.points if g.plane.contains(q) and q != p]
         assert len(smooth_pts) >= 2
         for q in smooth_pts[1:]:
-            assert pres.class_diff(smooth_pts[0], q).is_zero
+            assert class_diff(pres, smooth_pts[0], q).is_zero
     assert seen == {GammaType.IRREDUCIBLE_NODAL, GammaType.IRREDUCIBLE_CUSPIDAL}
 
 
 def test_class_arithmetic(fermat5_presentation):
     pres = fermat5_presentation
     a, b = pres.points[0], pres.points[10]
-    assert pres.class_diff(a, a).is_zero
-    assert (pres.class_diff(a, b) + pres.class_diff(b, a)).is_zero
+    assert class_diff(pres, a, a).is_zero
+    assert (class_diff(pres, a, b) + class_diff(pres, b, a)).is_zero
     assert pres.class_of(a).degree == 1
-    assert pres.class_diff(a, b).degree == 0
+    assert class_diff(pres, a, b).degree == 0
     assert (pres.class_of(a) - pres.class_of(a)).is_zero
     assert (-pres.class_of(a)).degree == -1
 
@@ -362,7 +365,7 @@ def test_torsion_surface_classes_are_pinned(torsion_presentation):
         cls = pres.class_of(ProjPoint(F2, coords))
         assert (cls.vector, cls.degree) == (vector, 1)
     for (a, b), vector in diffs.items():
-        diff = pres.class_diff(ProjPoint(F2, a), ProjPoint(F2, b))
+        diff = class_diff(pres, ProjPoint(F2, a), ProjPoint(F2, b))
         assert (diff.vector, diff.degree) == (vector, 0)
         assert not diff.is_zero
         # H0 = Z/3: every nonzero difference has order 3
@@ -426,3 +429,101 @@ def test_generation_check_needs_no_smith_form(
     assert _difference_classes_generate(pres, pres.points[0], pres.points)
     pres = torsion_presentation
     assert not _difference_classes_generate(pres, pres.points[0], pres.points[:1])
+
+
+# -- the closed-form sum count -------------------------------------------
+
+F3 = make_extension(3, 1)
+
+#: every surface this module builds, and the GF(3) draw with seed 4, which
+#: keeps two classes
+COUNT_SURFACES = {
+    **ORACLE_SURFACES,
+    "one-line-f7": lambda: CubicForm(F7, ONE_LINE_F7),
+    "one-line-f7-permuted": lambda: CubicForm(
+        F7, {(e[3], e[0], e[2], e[1]): c for e, c in ONE_LINE_F7.items()}
+    ),
+    "gf2-seed48": lambda: random_smooth_surface(F2, 48),
+    "gf3-seed4": lambda: random_smooth_surface(F3, 4),
+}
+
+
+@pytest.fixture(scope="module")
+def count_cases():
+    out = {}
+    for name, build in sorted(COUNT_SURFACES.items()):
+        form = build()
+        out[name] = (form, SpanTable(form), lines_on_surface(form))
+    return out
+
+
+def test_sum_count_matches_enumeration(count_cases):
+    classes = set()
+    for form, table, lines in count_cases.values():
+        pres = ZPresentation(form, table=table, lines=lines)
+        assert pres.sum_count == sum(1 for _ in pres._generating_sums())
+        classes.add(len(pres.class_reps))
+    assert 1 in classes and max(classes) > 1
+
+
+@pytest.mark.parametrize("name, points, classes", [("gf3-seed4", 13, 2), ("fermat-5", 31, 5)])
+def test_several_classes_take_the_structure_from_the_listed_sums(
+    count_cases, monkeypatch, name, points, classes
+):
+    listed = []
+    listing = ZPresentation._generating_sums
+
+    def counted(self):
+        listed.append(self)
+        return listing(self)
+
+    monkeypatch.setattr(ZPresentation, "_generating_sums", counted)
+    form, table, lines = count_cases[name]
+    pres = ZPresentation(form, table=table, lines=lines)
+    assert listed == [pres]
+    s = pres.structure
+    assert (s.points, s.classes) == (points, classes)
+    assert s.h0_trivial
+    if name == "gf3-seed4":
+        assert s.relations == 57
+        assert pres.matrix == [[-1, 1], [-2, 2]]
+        assert pres.reduced == [[1, -1]]
+    verify_presentation(pres)
+
+
+@pytest.mark.parametrize("name, relations", [("fermat-13", 27437), ("gf7-seed4", 930)])
+def test_one_class_lists_no_sum(monkeypatch, name, relations):
+    def refuse(self):
+        raise AssertionError("generating sums listed for a single class")
+
+    monkeypatch.setattr(ZPresentation, "_generating_sums", refuse)
+    form = COUNT_SURFACES[name]()
+    s = hs_structure(form)
+    assert (s.classes, s.relations, s.h0_trivial) == (1, relations, True)
+    report = ternary_bound_check(form)
+    assert report.r == 1 and report.bound_consistent and report.generates_h0
+
+
+def test_skew_by_point_sets_matches_projgeo(count_cases):
+    verdicts = set()
+    for form, table, lines in count_cases.values():
+        for l1, l2 in combinations(lines, 2):
+            idx1 = {table.index[p.coords] for p in l1.points()}
+            idx2 = {table.index[p.coords] for p in l2.points()}
+            assert idx1.isdisjoint(idx2) == skew(l1, l2)
+            verdicts.add(skew(l1, l2))
+        if form.field.q >= 13 and lines:
+            # verify_span_lemmas closes one union per skew pair
+            pairs = sum(skew(a, b) for a, b in combinations(lines, 2))
+            assert verify_span_lemmas(form, table=table).skew_union_checked == pairs
+    assert verdicts == {True, False}
+
+
+def test_eckardt_by_tangent_thirds_matches_is_eckardt(count_cases):
+    verdicts = set()
+    for form, table, _ in count_cases.values():
+        for i, p in enumerate(table.points):
+            got = _eckardt_by_thirds(table, i)
+            assert got == is_eckardt(form, p)
+            verdicts.add(got)
+    assert verdicts == {True, False}

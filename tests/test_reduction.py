@@ -50,6 +50,7 @@ from oracles import (
     line_on_del_pezzo,
     per_point_coverage,
     per_point_rank_bound,
+    positive_slope_segments,
     sieve_binary_cubic_roots,
     snf_good_parametrization,
 )
@@ -354,7 +355,7 @@ def test_relation_bad_branch_newton():
     assert rep.z_coord_unit is True
     assert rep.alpha2 == 1
     assert rep.newton.vertices == ((0, 1), (2, 1), (3, 2))
-    assert rep.newton.positive_slope_segments == 1
+    assert positive_slope_segments(rep.newton) == 1
     assert rep.newton.root_valuations == (Fraction(0), Fraction(0), Fraction(-1))
 
 

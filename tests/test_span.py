@@ -33,6 +33,7 @@ from cubicspan.surface import (
     PointKind,
     classify_point,
     fermat_cubic,
+    is_eckardt,
     lines_on_surface,
     surface_with_27_lines_over_f64,
     zero_points,
@@ -527,9 +528,7 @@ def test_span_lemmas_match_reference(name):
 def test_span_lemmas_fail_on_a_blank_table():
     form = fermat_cubic(F13)
     table = SpanTable(form)
-    n = len(table.points)
-    table.pair_third = array("i", [-1]) * (n * n)
-    table.tangent_thirds = [()] * n
+    _blank_points(table, set(range(len(table.points))))
     report = verify_span_lemmas(form, table=table)
     assert report.line_in_point_span is False
     assert report.skew_line_span is False
@@ -563,14 +562,24 @@ def test_span_lemmas_close_each_seed_set_once(fermat13_table, monkeypatch):
 
 
 def _blank_points(table, blanked):
-    """Drop every pair and tangent entry at the given point indices."""
+    """Drop every pair and tangent entry at the given point indices.
+
+    The span checks read a point as Eckardt when its tangent entries all
+    equal the point itself, so a blanked point that is not Eckardt keeps
+    one entry, the first blanked Eckardt point, and still reads as it is.
+    """
     n = len(table.points)
     pairs = array("i", table.pair_third)
     for i in blanked:
         for j in range(n):
             pairs[i * n + j] = pairs[j * n + i] = -1
     table.pair_third = pairs
-    table.tangent_thirds = [() if i in blanked else t for i, t in enumerate(table.tangent_thirds)]
+    eckardt = {i for i in blanked if is_eckardt(table.form, table.points[i])}
+    sink = (min(eckardt),)
+    table.tangent_thirds = [
+        t if i not in blanked else () if i in eckardt else sink
+        for i, t in enumerate(table.tangent_thirds)
+    ]
 
 
 def test_span_lemmas_match_reference_when_only_some_closures_span():
