@@ -298,6 +298,9 @@ class ZPresentation:
             for k in thirds[1:]:
                 uf.union(thirds[0], k)
         self.rep = [uf.find(i) for i in range(n)]
+        # the points P with 3P a generating sum: asymptotic or on a line
+        self._tripled = sorted({x for idx in self._line_indices for x in idx}.union(
+            i for i, t in enumerate(table.tangent_thirds) if i in t))
         self.class_reps = sorted(set(self.rep))
         self.column = {r: c for c, r in enumerate(self.class_reps)}
         r = len(self.class_reps)
@@ -331,14 +334,12 @@ class ZPresentation:
         """
         thirds = self.table.tangent_thirds
         tangent = sum(len(t) - t.count(i) for i, t in enumerate(thirds))
-        triple = {x for idx in self._line_indices for x in idx}
-        triple.update(i for i, t in enumerate(thirds) if i in t)
         sizes = [len(idx) for idx in self._line_indices]
         secant_pairs = comb(len(self.points), 2) - sum(comb(m, 2) for m in sizes) - tangent
         if secant_pairs % 3:
             raise AssertionError("secant pairs do not fall into threes")
         on_lines = sum(2 * comb(m, 2) + comb(m, 3) for m in sizes)
-        return secant_pairs // 3 + tangent + len(triple) + on_lines
+        return secant_pairs // 3 + tangent + len(self._tripled) + on_lines
 
     def _generating_sums(self) -> Iterator[tuple[int, int, int]]:
         """Each distinct generating sum once, as a sorted point-index triple.
@@ -361,10 +362,8 @@ class ZPresentation:
                     yield (i, i, j)
                 elif k == j:
                     yield (i, j, j)
-        on_line = {x for idx in self._line_indices for x in idx}
-        for i, thirds in enumerate(table.tangent_thirds):
-            if i in on_line or i in thirds:
-                yield (i, i, i)
+        for i in self._tripled:
+            yield (i, i, i)
         for idx in self._line_indices:
             for a, b in combinations(idx, 2):
                 yield (a, a, b)

@@ -50,6 +50,7 @@ from .errors import (
 from .projgeo import Line3, ProjPoint, skew
 from .surface import (
     CubicForm,
+    is_eckardt,
     is_smooth,
     lines_on_surface,
     tangent_pencil,
@@ -336,12 +337,14 @@ def _eckardt_by_thirds(table: SpanTable, i: int) -> bool:
     """Whether point i is an Eckardt point, read off tangent_thirds[i].
 
     A pencil line's third point is i exactly when the polar quadric (the
-    cone) vanishes on it, and a contained pencil line is skipped but has
-    a vanishing cone too.  So every entry equals i exactly when the cone,
-    a binary quadratic, vanishes at all q + 1 >= 3 pencil lines, that is
-    identically, which is surface.is_eckardt's test.
+    cone) vanishes on it.  One entry other than i shows the cone is not
+    zero; three entries equal to i make the cone, a binary quadratic,
+    vanish identically, which is surface.is_eckardt's test.  Fewer entries
+    (q <= 4 with lines through i, or a table that lost entries) ask it.
     """
-    return all(k == i for k in table.tangent_thirds[i])
+    thirds = table.tangent_thirds[i]
+    return all(k == i for k in thirds) and (
+        len(thirds) >= 3 or is_eckardt(table.form, table.points[i]))
 
 
 def _closure_unless_spanning(
@@ -487,6 +490,7 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
     lemma_a: Optional[bool] = None
     checked_a = 0
     indices = {line: _line_point_indices(table, line) for line in lines}
+    point_sets = {line: frozenset(idx) for line, idx in indices.items()}
     for line in lines:
         targets = indices[line]
         for i in sorted(targets):
@@ -507,10 +511,9 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
     checked_c = 0
     # rational lines that meet do so in a Galois-fixed, so rational, point
     skew_pairs = [(l1, l2) for i, l1 in enumerate(lines) for l2 in lines[i + 1 :]
-                  if set(indices[l1]).isdisjoint(indices[l2])]
+                  if point_sets[l1].isdisjoint(point_sets[l2])]
     for l1, l2 in skew_pairs:
-        idx1 = indices[l1]
-        idx2 = indices[l2]
+        idx1, idx2 = indices[l1], indices[l2]
         for src, dst in ((idx1, idx2), (idx2, idx1)):
             checked_b += 1
             if not spans(src, dst):

@@ -46,6 +46,7 @@ of H, and exact checks of the Smith transforms.
 """
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -118,7 +119,7 @@ from cubicspan.reduction import (
     reduce_to_curve,
     reduction_class,
 )
-from cubicspan.span import SpanLemmaReport, SpanTable
+from cubicspan.span import SpanLemmaReport, SpanTable, _eckardt_by_thirds
 from cubicspan.surface import (
     FAMILIES,
     CubicForm,
@@ -129,6 +130,7 @@ from cubicspan.surface import (
     _restrict_terms_to_line,
     _substitute_linear,
     classify_point,
+    is_eckardt,
     lines_on_surface,
     zero_points,
 )
@@ -908,6 +910,30 @@ def class_diff(pres: ZPresentation, p: ProjPoint, q: ProjPoint) -> HsClass:
 def hs_free_rank(structure: GroupStructure) -> int:
     """The free rank of H, one more than that of H0 (H/H0 = Z)."""
     return structure.h0_free_rank + 1
+
+
+def table_read_verdicts(form: CubicForm, table: SpanTable, lines: list[Line3]):
+    """Check the three reads taken off a span table against what they replace.
+
+    ZPresentation.sum_count against the listed sums, span._eckardt_by_thirds
+    against is_eckardt at every point, and disjoint point sets against
+    projgeo.skew on every line pair.  Returns the class count, the set of
+    Eckardt verdicts met and a Counter of the skew verdicts.
+    """
+    pres = ZPresentation(form, table=table, lines=lines)
+    assert pres.sum_count == sum(1 for _ in pres._generating_sums())
+    eckardt = set()
+    for i, p in enumerate(table.points):
+        got = _eckardt_by_thirds(table, i)
+        assert got == is_eckardt(form, p), p
+        eckardt.add(got)
+    point_sets = [frozenset(table.index[p.coords] for p in line.points()) for line in lines]
+    skews: Counter[bool] = Counter()
+    for (a, la), (b, lb) in combinations(zip(point_sets, lines), 2):
+        got = a.isdisjoint(b)
+        assert got == skew(la, lb), (la, lb)
+        skews[got] += 1
+    return len(pres.class_reps), eckardt, skews
 
 
 def verify_presentation(pres: ZPresentation) -> None:

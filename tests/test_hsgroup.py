@@ -15,12 +15,11 @@ from cubicspan.hsgroup import (
     snf_with_transforms,
     ternary_bound_check,
 )
-from cubicspan.projgeo import ProjPoint, skew
-from cubicspan.span import SpanTable, _eckardt_by_thirds, verify_span_lemmas
+from cubicspan.projgeo import ProjPoint
+from cubicspan.span import SpanTable
 from cubicspan.surface import (
     CubicForm,
     fermat_cubic,
-    is_eckardt,
     lines_on_surface,
 )
 
@@ -435,40 +434,16 @@ def test_generation_check_needs_no_smith_form(
 
 F3 = make_extension(3, 1)
 
-#: every surface this module builds, and the GF(3) draw with seed 4, which
-#: keeps two classes
-COUNT_SURFACES = {
-    **ORACLE_SURFACES,
-    "one-line-f7": lambda: CubicForm(F7, ONE_LINE_F7),
-    "one-line-f7-permuted": lambda: CubicForm(
-        F7, {(e[3], e[0], e[2], e[1]): c for e, c in ONE_LINE_F7.items()}
-    ),
-    "gf2-seed48": lambda: random_smooth_surface(F2, 48),
+#: the surfaces whose union-find keeps several classes
+SEVERAL_CLASSES = {
     "gf3-seed4": lambda: random_smooth_surface(F3, 4),
+    "fermat-5": ORACLE_SURFACES["fermat-5"],
 }
-
-
-@pytest.fixture(scope="module")
-def count_cases():
-    out = {}
-    for name, build in sorted(COUNT_SURFACES.items()):
-        form = build()
-        out[name] = (form, SpanTable(form), lines_on_surface(form))
-    return out
-
-
-def test_sum_count_matches_enumeration(count_cases):
-    classes = set()
-    for form, table, lines in count_cases.values():
-        pres = ZPresentation(form, table=table, lines=lines)
-        assert pres.sum_count == sum(1 for _ in pres._generating_sums())
-        classes.add(len(pres.class_reps))
-    assert 1 in classes and max(classes) > 1
 
 
 @pytest.mark.parametrize("name, points, classes", [("gf3-seed4", 13, 2), ("fermat-5", 31, 5)])
 def test_several_classes_take_the_structure_from_the_listed_sums(
-    count_cases, monkeypatch, name, points, classes
+    monkeypatch, name, points, classes
 ):
     listed = []
     listing = ZPresentation._generating_sums
@@ -478,8 +453,7 @@ def test_several_classes_take_the_structure_from_the_listed_sums(
         return listing(self)
 
     monkeypatch.setattr(ZPresentation, "_generating_sums", counted)
-    form, table, lines = count_cases[name]
-    pres = ZPresentation(form, table=table, lines=lines)
+    pres = ZPresentation(SEVERAL_CLASSES[name]())
     assert listed == [pres]
     s = pres.structure
     assert (s.points, s.classes) == (points, classes)
@@ -497,33 +471,8 @@ def test_one_class_lists_no_sum(monkeypatch, name, relations):
         raise AssertionError("generating sums listed for a single class")
 
     monkeypatch.setattr(ZPresentation, "_generating_sums", refuse)
-    form = COUNT_SURFACES[name]()
+    form = ORACLE_SURFACES[name]()
     s = hs_structure(form)
     assert (s.classes, s.relations, s.h0_trivial) == (1, relations, True)
     report = ternary_bound_check(form)
     assert report.r == 1 and report.bound_consistent and report.generates_h0
-
-
-def test_skew_by_point_sets_matches_projgeo(count_cases):
-    verdicts = set()
-    for form, table, lines in count_cases.values():
-        for l1, l2 in combinations(lines, 2):
-            idx1 = {table.index[p.coords] for p in l1.points()}
-            idx2 = {table.index[p.coords] for p in l2.points()}
-            assert idx1.isdisjoint(idx2) == skew(l1, l2)
-            verdicts.add(skew(l1, l2))
-        if form.field.q >= 13 and lines:
-            # verify_span_lemmas closes one union per skew pair
-            pairs = sum(skew(a, b) for a, b in combinations(lines, 2))
-            assert verify_span_lemmas(form, table=table).skew_union_checked == pairs
-    assert verdicts == {True, False}
-
-
-def test_eckardt_by_tangent_thirds_matches_is_eckardt(count_cases):
-    verdicts = set()
-    for form, table, _ in count_cases.values():
-        for i, p in enumerate(table.points):
-            got = _eckardt_by_thirds(table, i)
-            assert got == is_eckardt(form, p)
-            verdicts.add(got)
-    assert verdicts == {True, False}

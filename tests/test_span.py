@@ -33,7 +33,6 @@ from cubicspan.surface import (
     PointKind,
     classify_point,
     fermat_cubic,
-    is_eckardt,
     lines_on_surface,
     surface_with_27_lines_over_f64,
     zero_points,
@@ -46,6 +45,7 @@ from oracles import (
     lines_in_plane_through,
     reference_closure,
     reference_span_lemmas,
+    table_read_verdicts,
     tangent_plane,
 )
 
@@ -528,7 +528,9 @@ def test_span_lemmas_match_reference(name):
 def test_span_lemmas_fail_on_a_blank_table():
     form = fermat_cubic(F13)
     table = SpanTable(form)
-    _blank_points(table, set(range(len(table.points))))
+    n = len(table.points)
+    table.pair_third = array("i", [-1]) * (n * n)
+    table.tangent_thirds = [()] * n
     report = verify_span_lemmas(form, table=table)
     assert report.line_in_point_span is False
     assert report.skew_line_span is False
@@ -562,24 +564,14 @@ def test_span_lemmas_close_each_seed_set_once(fermat13_table, monkeypatch):
 
 
 def _blank_points(table, blanked):
-    """Drop every pair and tangent entry at the given point indices.
-
-    The span checks read a point as Eckardt when its tangent entries all
-    equal the point itself, so a blanked point that is not Eckardt keeps
-    one entry, the first blanked Eckardt point, and still reads as it is.
-    """
+    """Drop every pair and tangent entry at the given point indices."""
     n = len(table.points)
     pairs = array("i", table.pair_third)
     for i in blanked:
         for j in range(n):
             pairs[i * n + j] = pairs[j * n + i] = -1
     table.pair_third = pairs
-    eckardt = {i for i in blanked if is_eckardt(table.form, table.points[i])}
-    sink = (min(eckardt),)
-    table.tangent_thirds = [
-        t if i not in blanked else () if i in eckardt else sink
-        for i, t in enumerate(table.tangent_thirds)
-    ]
+    table.tangent_thirds = [() if i in blanked else t for i, t in enumerate(table.tangent_thirds)]
 
 
 def test_span_lemmas_match_reference_when_only_some_closures_span():
@@ -633,6 +625,38 @@ def test_skew_singleton_report_matches_per_point_reference(name):
     if form.field.q == 2:
         assert 0 < len(failures) < checked
 
+
+# the surfaces above and small-field draws; the GF(3) draw with seed 4
+# and Fermat GF(5) keep several classes
+TABLE_READ_SURFACES = {
+    **ORACLE_SURFACES,
+    **MIXED_SKEW_SURFACES,
+    "f2_seed48": lambda: random_smooth_surface(F2, 48),
+    "f3_seed4": lambda: random_smooth_surface(make_extension(3, 1), 4),
+    "f4_seed1": lambda: random_smooth_surface(F4, 1),
+    "f8_seed2": lambda: random_smooth_surface(make_extension(2, 3), 2),
+    "f9_seed1": lambda: random_smooth_surface(F9, 1),
+    "f9_seed3": lambda: random_smooth_surface(F9, 3),
+}
+
+
+def test_table_reads_agree_with_geometry():
+    """The sum count, the Eckardt read and the skew read of the span table
+    against the listed sums, is_eckardt and projgeo.skew."""
+    classes, eckardt, skews = set(), set(), set()
+    for name in sorted(TABLE_READ_SURFACES):
+        form = TABLE_READ_SURFACES[name]()
+        table = SpanTable(form)
+        lines = lines_on_surface(form)
+        r, eck, sk = table_read_verdicts(form, table, lines)
+        classes.add(r)
+        eckardt |= eck
+        skews |= set(sk)
+        if form.field.q >= 13:
+            # verify_span_lemmas closes one union per skew pair
+            assert verify_span_lemmas(form, table=table).skew_union_checked == sk[True]
+    assert 1 in classes and max(classes) > 1
+    assert eckardt == skews == {True, False}
 
 def test_flagged_run_is_a_prefix_of_the_full_run(oracle_case):
     table, lines = oracle_case
