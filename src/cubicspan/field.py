@@ -14,6 +14,7 @@ always agree on the representation (GF(64) is F_2[x]/(x^6 + x + 1)).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -188,6 +189,7 @@ class ExtField:
         self._nonresidue: int | None = None
         self._as_matrix: list[int] | None = None  # Artin-Schreier rows as bitmasks
         self._flat: tuple[list[int], list[int], list[int]] | None = None
+        self._roots: tuple[array, array, array] | None = None
         # reduction of x^k .. x^(2k-2) mod the modulus, as coefficient tuples
         red = []
         if k > 1:
@@ -371,6 +373,24 @@ class ExtField:
                 [neg(a) for a in range(q)],
             )
         return self._flat
+
+    def root_tables(self) -> tuple[array, array, array]:
+        """Smallest-root tables of three normal forms, built on first use:
+        entry B*q + G holds the smallest root y of y^3 + B*y + G, of
+        y^3 + y^2 + B*y + G and of y^2 + B*y + G, or q when there is none
+        (y runs downwards, so the smallest is written last).  Fields above
+        _FLAT_TABLE_LIMIT elements raise BudgetExceeded."""
+        if self._roots is None:
+            add, mul, neg = self.flat_tables()
+            q = self.q
+            self._roots = tuple(array("H", [q]) * (q * q) for _ in range(3))
+            for y in reversed(range(q)):
+                y2 = mul[y * q + y]
+                y3 = mul[y2 * q + y]
+                for table, lead in zip(self._roots, (y3, add[y3 * q + y2], y2)):
+                    for b in range(q):
+                        table[b * q + neg[add[lead * q + mul[b * q + y]]]] = y
+        return self._roots
 
     # -- roots -------------------------------------------------------------
 
@@ -572,10 +592,6 @@ class CubicRoots:
 
     rational: tuple[tuple[tuple[int, int], int], ...]
     extension_roots: int
-
-    @property
-    def fully_rational(self) -> bool:
-        return self.extension_roots == 0
 
 
 def roots_of_cubic(field: ExtField, coeffs: Sequence[int]) -> CubicRoots:

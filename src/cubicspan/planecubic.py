@@ -113,12 +113,6 @@ def _third_coords(a: CurvePoint, b: CurvePoint) -> tuple[int, int, int]:
     return (c2 * x1 - c1 * x2) % p, (c2 * y1 - c1 * y2) % p, (c2 * z1 - c1 * z2) % p
 
 
-def third_point(a: CurvePoint, b: CurvePoint) -> CurvePoint:
-    """The residual intersection of the line through a and b (tangent when
-    a = b) with the curve."""
-    return _normalized(a.p, _third_coords(a, b))
-
-
 def group_neg(a: CurvePoint) -> CurvePoint:
     """-(x : y : z) = (y : x : z): the line through a and O = (1 : -1 : 0)
     holds (x, y, z) + (y - x)(1, -1, 0), and the equation is symmetric."""
@@ -216,9 +210,6 @@ class PrimeCondition:
     one_mod_three: bool
     two_is_cube: bool
     t3_minus_2_splits: bool
-
-    def as_tuple(self) -> tuple[bool, bool, bool]:
-        return (self.one_mod_three, self.two_is_cube, self.t3_minus_2_splits)
 
 
 def prime_condition(p: int) -> PrimeCondition:

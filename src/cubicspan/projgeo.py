@@ -231,33 +231,3 @@ def planes_through_line(line: Line3) -> list[Plane3]:
     out.append(Plane3(f, n1))
     return out
 
-
-def plane_point_basis(plane: Plane3) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Three spanning points of a plane, one per non-pivot coordinate."""
-    f = plane.field
-    n = plane.covector
-    j0 = next(i for i, c in enumerate(n) if c)
-    basis = []
-    for m in range(4):
-        if m == j0:
-            continue
-        vec = [0, 0, 0, 0]
-        vec[m] = 1
-        vec[j0] = f.neg(f.div(n[m], n[j0]))
-        basis.append(tuple(vec))
-    return basis[0], basis[1], basis[2]
-
-
-def pencil_basis(plane: Plane3, coords: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The basis pair (e0, e1) that indexes the lines of a plane through a point.
-
-    The point's coordinates must lie in the plane.  The pair is what is left
-    of plane_point_basis after dropping the spanning point that carries the
-    point's first nonzero coordinate.
-    """
-    basis = plane_point_basis(plane)
-    j0 = next(i for i, c in enumerate(plane.covector) if c)
-    pc = [coords[m] for m in range(4) if m != j0]
-    m0 = next(i for i, c in enumerate(pc) if c)
-    e0, e1 = [basis[i] for i in range(3) if i != m0]
-    return e0, e1

@@ -50,6 +50,7 @@ from .errors import (
 from .projgeo import Line3, ProjPoint, skew
 from .surface import (
     CubicForm,
+    _smooth_gradient,
     is_eckardt,
     is_smooth,
     lines_on_surface,
@@ -86,7 +87,7 @@ class SpanTable:
     third points of the non-contained tangent lines at point i, in the
     order of the pencil from surface.tangent_pencil: the line through
     e0 + t*e1 for each field code t, then the line through e1 (e0 and e1
-    from projgeo.pencil_basis); an entry equal to i itself records an
+    read off the gradient at i); an entry equal to i itself records an
     asymptotic line.
 
     spanning_lines is the number of lines a closure that reaches every
@@ -96,7 +97,8 @@ class SpanTable:
     point is scanned, and so does a smooth surface over a field with
     (q - 1)^4 > PAIR_TABLE_BUDGET: it has at least (q - 1)^2 points (the
     Weil-Manin count).  Any other point set with more than
-    PAIR_TABLE_BUDGET pairs raises it before any gradient is taken.
+    PAIR_TABLE_BUDGET pairs raises it before any gradient is taken.  The
+    first rational point whose gradient vanishes raises SingularPoint.
     """
 
     __slots__ = ("form", "points", "index", "pair_third", "tangent_thirds", "spanning_lines")
@@ -115,7 +117,7 @@ class SpanTable:
         self.points = points
         index = {p.coords: i for i, p in enumerate(points)}
         self.index = index
-        grads = [form.gradient(p.coords) for p in points]
+        grads = [_smooth_gradient(form, p.coords) for p in points]
         # inverses premultiplied by q, ready to index a row of mul
         inv_row = [0] + [f.inv(a) * q for a in range(1, q)]
 

@@ -8,24 +8,24 @@ gradients and restriction, which is what the reduction machinery needs.
 
 One streaming scan, _zeros, lists the surface points of an affine chart:
 it restricts the form to the chart's coordinate plane or line and finds
-the roots of each binary cubic by one Horner scan over the field codes
-(_cubic_zeros).  zero_points is that scan over the four charts whose
-first nonzero coordinate is 1.  lines_on_surface draws both rows of every
-canonical line basis from the same scan, so it does not walk all of the
-roughly q^4 candidate matrices: only row pairs whose rows already lie on
-the surface are tested for full containment.
+the roots of each binary cubic (_cubic_zeros).  zero_points is that scan
+over the four charts whose first nonzero coordinate is 1.
+lines_on_surface draws both rows of every canonical line basis from the
+same scan, so it does not walk all of the roughly q^4 candidate
+matrices: only row pairs whose rows already lie on the surface are
+tested for full containment.
 
-Restriction to a line and the Horner scan have two paths with equal
-results.  Over a field with at most field._FLAT_TABLE_LIMIT elements
-they index ExtField.flat_tables (the flat path); integer forms and
-larger fields call the field's methods, or + and *, instead (the method
-path).  _flat selects the path from the field size on every call.
-Evaluation keeps one loop for both.
+Evaluation, restriction to a line and the root scan have two paths with
+equal results.  Over a field with at most field._FLAT_TABLE_LIMIT
+elements they index ExtField.flat_tables, and the roots are read off
+ExtField.root_tables (the flat path); integer forms and larger fields
+call the field's methods, or + and *, and scan every code by Horner's
+rule (the method path).  _flat selects the path on every call.
 
 The tangent cone at a point u is the polar quadric sum_m u_m dF/dx_m,
-restricted once to a line of the tangent plane (tangent_pencil).  It
-vanishes identically exactly at the Eckardt points, so is_eckardt and
-eckardt_points read the cone and nothing else.
+restricted once to a line of the tangent plane read off the gradient
+(tangent_pencil).  It vanishes identically exactly at the Eckardt
+points, so is_eckardt and eckardt_points read the cone and nothing else.
 """
 
 from __future__ import annotations
@@ -53,13 +53,7 @@ from .field import (
     solve_quadratic,
     univariate_gcd,
 )
-from .projgeo import (
-    Line3,
-    Plane3,
-    ProjPoint,
-    pencil_basis,
-    rank,
-)
+from .projgeo import Line3, ProjPoint, rank
 
 
 def _monomials(degree: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -131,22 +125,35 @@ def _mono_indices(mono: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _evaluate_terms(field, terms, coords):
-    """The value of sum c * x_i x_j ... at a point."""
+def _evaluate_terms(field, term_lists, coords) -> list:
+    """The values of sum c * x_i x_j ... at a point, one per term list."""
+    tables = _flat(field)
+    if tables is not None:
+        return _evaluate_flat(tables, field.q, term_lists, coords)
     add, mul = _ops(field)
-    total = 0
-    for c, idxs in terms:
-        t = c
-        for i in idxs:
-            x = coords[i]
-            if x == 0:
-                t = 0
-                break
-            if x != 1:
-                t = mul(t, x)
-        if t:
-            total = add(total, t)
-    return total
+    out = []
+    for terms in term_lists:
+        total = 0
+        for c, idxs in terms:
+            for i in idxs:
+                c = mul(c, coords[i])
+            total = add(total, c)
+        out.append(total)
+    return out
+
+
+def _evaluate_flat(tables, q, term_lists, coords) -> list:
+    """_evaluate_terms's products, read off the flat tables."""
+    add, mul, _neg = tables
+    out = []
+    for terms in term_lists:
+        total = 0
+        for c, idxs in terms:
+            for i in idxs:
+                c = mul[c * q + coords[i]]
+            total = add[total * q + c]
+        out.append(total)
+    return out
 
 
 def _restrict_terms_to_line(field, terms, u, v) -> list:
@@ -261,7 +268,7 @@ def _substitute_linear(field, terms, vectors):
 class CubicForm:
     """Homogeneous cubic in x0..x3 over a finite field or the integers."""
 
-    __slots__ = ("field", "coeffs", "_terms", "_partial_terms")
+    __slots__ = ("field", "coeffs", "_terms", "_partial_terms", "_polar_terms")
 
     def __init__(self, field: Optional[ExtField], coeffs: dict):
         clean: dict = {}
@@ -281,6 +288,7 @@ class CubicForm:
         self.coeffs = clean
         self._terms = [(c, _mono_indices(mono)) for mono, c in sorted(clean.items(), reverse=True)]
         self._partial_terms = None
+        self._polar_terms = None
 
     # -- construction and serialization ---------------------------------
 
@@ -326,11 +334,14 @@ class CubicForm:
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, coords: Sequence[int]):
-        return _evaluate_terms(self.field, self._terms, coords)
+        return _evaluate_terms(self.field, (self._terms,), coords)[0]
 
     def _partials(self):
+        """The terms of the four partials.  Also fills _polar_terms: the monomials
+        x_i x_j of sum_m u_m dF/dx_m, and their coefficients as terms c * u_m."""
         if self._partial_terms is None:
             parts = []
+            polar: dict = {}
             p = self.field.p if self.field is not None else 0
             for i in range(4):
                 terms = []
@@ -343,16 +354,17 @@ class CubicForm:
                     else:
                         scaled = e * c
                     if scaled:
-                        derived = list(mono)
-                        derived[i] -= 1
-                        terms.append((scaled, _mono_indices(derived)))
+                        idxs = _mono_indices(mono[:i] + (e - 1,) + mono[i + 1:])
+                        terms.append((scaled, idxs))
+                        polar.setdefault(idxs, []).append((scaled, (i,)))
                 parts.append(terms)
             self._partial_terms = parts
+            self._polar_terms = (tuple(polar), tuple(polar.values()))
         return self._partial_terms
 
     def gradient(self, coords: Sequence[int]) -> tuple:
         """The four formal partial derivatives evaluated at a point."""
-        return tuple(_evaluate_terms(self.field, terms, coords) for terms in self._partials())
+        return tuple(_evaluate_terms(self.field, self._partials(), coords))
 
     # -- restriction -----------------------------------------------------
 
@@ -409,36 +421,51 @@ def surface_with_27_lines_over_f64() -> CubicForm:
 
 
 def _cubic_zeros(f: ExtField, c0, c1, c2, c3) -> list[int]:
-    """The codes t with c0 + c1 t + c2 t^2 + c3 t^3 = 0, ascending, by Horner's rule."""
-    q = f.q
+    """The codes t with c0 + c1 t + c2 t^2 + c3 t^3 = 0, ascending."""
     tables = _flat(f)
-    if tables is None:
-        add, mul = f.add, f.mul
-        return [t for t in range(q) if add(mul(add(mul(add(mul(c3, t), c2), t), c1), t), c0) == 0]
-    add, mul, _neg = tables
-    c3 *= q
-    return [
-        t for t in range(q)
-        if add[mul[add[mul[add[mul[c3 + t] * q + c2] * q + t] * q + c1] * q + t] * q + c0] == 0
-    ]
-
-
-def _scan_pair_zeros(form: CubicForm, base, u, v) -> Iterator[tuple[int, int]]:
-    """(a, b) with F(base + a*u + b*v) = 0, in code order with b fastest."""
-    f = form.field
+    if tables is not None:
+        return _table_roots(f, tables, c0, c1, c2, c3)
     add, mul = f.add, f.mul
-    # e0 = 3 - e1 - e2, so (e1, e2) names each term once
-    items = [(e1, e2, c) for (_e0, e1, e2), c in form.restrict_to_plane((base, u, v)).items()]
-    for a in range(f.q):
-        a2 = mul(a, a)
-        pw = (1, a, a2, mul(a2, a))
-        cb = [0, 0, 0, 0]
-        for e1, e2, c in items:
-            p = pw[e1]
-            if p:
-                cb[e2] = add(cb[e2], c if p == 1 else mul(c, p))
-        for b in _cubic_zeros(f, *cb):
-            yield (a, b)
+    return [t for t in range(f.q) if add(mul(add(mul(add(mul(c3, t), c2), t), c1), t), c0) == 0]
+
+
+def _table_roots(f: ExtField, tables, c0, c1, c2, c3) -> list[int]:
+    """_cubic_zeros by at most three root-table lookups.  The monic
+    b^3 + A b^2 + B b + G has a root r = A*y, y a root of
+    y^3 + y^2 + (B/A^2) y + G/A^3, when A != 0, a root of y^3 + B y + G
+    when A = 0, or none.  Dividing out b - r leaves b^2 + s b + t, with
+    s = A + r and t = B + r*s, and roots r1 and -s - r1.  No step divides
+    by 2 or 3, so every characteristic takes the same steps."""
+    add, mul, neg = tables
+    cubic, cubic_sq, quadratic = f.root_tables()
+    q = f.q
+    roots = set()
+    if c3:
+        inv = f.inv(c3) * q
+        a, b, g = mul[inv + c2], mul[inv + c1], mul[inv + c0]
+        if a:
+            ia = f.inv(a)
+            ia2 = mul[ia * q + ia]
+            y = cubic_sq[mul[b * q + ia2] * q + mul[g * q + mul[ia2 * q + ia]]]
+            r = mul[a * q + y] if y < q else q
+        else:
+            r = cubic[b * q + g]
+        if r == q:
+            return []
+        roots.add(r)
+        s = add[a * q + r]
+        t = add[b * q + mul[r * q + s]]
+    elif c2:
+        inv = f.inv(c2) * q
+        s, t = mul[inv + c1], mul[inv + c0]
+    elif c1:
+        return [neg[mul[c0 * q + f.inv(c1)]]]
+    else:
+        return [] if c0 else list(range(q))
+    r1 = quadratic[s * q + t]
+    if r1 < q:
+        roots.update((r1, neg[add[s * q + r1]]))
+    return sorted(roots)
 
 
 def _zeros(form: CubicForm, base, free) -> Iterator[tuple[int, ...]]:
@@ -456,10 +483,15 @@ def _zeros(form: CubicForm, base, free) -> Iterator[tuple[int, ...]]:
     elif len(free) == 2:
         j, k = free
         point = list(base)
-        for a, b in _scan_pair_zeros(form, base, _UNIT[j], _UNIT[k]):
+        # the coefficient of x_k^e2 is sum c * x_j^e1 over the plane's terms (e0, e1, e2)
+        by_power: list[list] = [[], [], [], []]
+        for (_e0, e1, e2), c in form.restrict_to_plane((base, _UNIT[j], _UNIT[k])).items():
+            by_power[e2].append((c, (0,) * e1))
+        for a in range(f.q):
             point[j] = a
-            point[k] = b
-            yield tuple(point)
+            for b in _cubic_zeros(f, *_evaluate_terms(f, by_power, (a,))):
+                point[k] = b
+                yield tuple(point)
     elif free:
         (j,) = free
         point = list(base)
@@ -489,8 +521,10 @@ def lines_on_surface(form: CubicForm, extension: int = 1) -> list[Line3]:
     the same scan on the coordinates after p0 other than p1.  A pattern
     with no second row is skipped unscanned; the dense pattern (0, 1) also
     requires the row sum on the surface.  Only the surviving row pairs
-    reach the exact containment check.  An extension field with q^2 above
-    LINE_SCAN_BUDGET raises BudgetExceeded.
+    reach the exact containment check: with both rows r0, r1 on the surface,
+    F(s*r0 + t*r1) = s^2 t grad F(r0).r1 + s t^2 grad F(r1).r0, so the line
+    lies in it when both pairings vanish.  An extension field with q^2
+    above LINE_SCAN_BUDGET raises BudgetExceeded.
     """
     f = form.field
     ext = make_extension(f.p, f.k * extension)
@@ -499,17 +533,23 @@ def lines_on_surface(form: CubicForm, extension: int = 1) -> list[Line3]:
     g = form.embed(ext) if ext is not f else form
     add = ext.add
     found = []
+
+    def pairing(row):  # the linear form grad F(row) . x, as terms
+        return [(c, (m,)) for m, c in enumerate(g.gradient(row)) if c]
+
     for p0, p1 in combinations(range(4), 2):
-        seconds = list(_zeros(g, _UNIT[p1], range(p1 + 1, 4)))
+        seconds = [(r1, pairing(r1)) for r1 in _zeros(g, _UNIT[p1], range(p1 + 1, 4))]
         if not seconds:
             continue
         # rows (1,0,a,b), (0,1,c,d) also need (1,1,a+c,b+d) on the surface
         sums = set(_zeros(g, (1, 1, 0, 0), (2, 3))) if (p0, p1) == (0, 1) else None
         for r0 in _zeros(g, _UNIT[p0], [j for j in range(p0 + 1, 4) if j != p1]):
-            for r1 in seconds:
+            lin0 = None
+            for r1, lin1 in seconds:
                 if sums is not None and (1, 1, add(r0[2], r1[2]), add(r0[3], r1[3])) not in sums:
                     continue
-                if not any(g.restrict_to_line(r0, r1)):
+                lin0 = pairing(r0) if lin0 is None else lin0
+                if _evaluate_terms(ext, (lin0,), r1)[0] == 0 == _evaluate_terms(ext, (lin1,), r0)[0]:
                     found.append((r0, r1))
     found.sort(key=lambda rows: rows[0] + rows[1])
     return [Line3(ext, rows, _canonical=True) for rows in found]
@@ -556,21 +596,39 @@ def is_smooth(form: CubicForm) -> bool:
 # -- the tangent pencil and point classification ------------------------
 
 
+def _pencil_basis(f: ExtField, coords: Sequence[int], grad: Sequence[int]):
+    """The pair (e0, e1) that indexes the tangent lines at u: of the
+    e_m - (grad_m / grad_j0) * e_j0, m != j0, with grad_j0 the first nonzero
+    entry, all but the first m with u_m != 0."""
+    j0 = 0 if grad[0] else 1 if grad[1] else 2 if grad[2] else 3
+    s = f.neg(f.inv(grad[j0]))
+    tables = _flat(f)
+    pair, dropped = [], False
+    for m in range(4):
+        # skip j0, and the first other m with u_m != 0
+        if m == j0 or (coords[m] and not dropped):
+            dropped = dropped or m != j0
+            continue
+        vec = [0, 0, 0, 0]
+        vec[m], vec[j0] = 1, f.mul(s, grad[m]) if tables is None else tables[1][s * f.q + grad[m]]
+        pair.append(tuple(vec))
+    return pair[0], pair[1]
+
+
 def _tangent_cone(form: CubicForm, coords: Sequence[int], grad: Sequence[int]):
     """(e0, e1, cone) of tangent_pencil, without the cubic."""
     f = form.field
-    e0, e1 = pencil_basis(Plane3(f, grad), coords)
-    polar = [
-        (c if x == 1 else f.mul(x, c), idxs)
-        for x, part in zip(coords, form._partials()) if x for c, idxs in part
-    ]
+    e0, e1 = _pencil_basis(f, coords, grad)
+    form._partials()  # fills _polar_terms
+    monos, linear = form._polar_terms
+    polar = zip(_evaluate_terms(f, linear, coords), monos)
     return e0, e1, tuple(_restrict_terms_to_line(f, polar, e0, e1)[:3])
 
 
 def tangent_pencil(form: CubicForm, coords: Sequence[int], grad: Sequence[int]):
     """The tangent lines at a smooth surface point u as one pencil.
 
-    Returns (e0, e1, cubic, cone).  (e0, e1) is projgeo.pencil_basis of the
+    Returns (e0, e1, cubic, cone).  (e0, e1) is _pencil_basis of the
     tangent plane at u, so the tangent lines are the lines through u and
     w = s*e0 + t*e1.  cubic is F restricted to w and cone is the polar
     quadric sum_m u_m dF/dx_m restricted to w, both as coefficient tuples
@@ -580,8 +638,8 @@ def tangent_pencil(form: CubicForm, coords: Sequence[int], grad: Sequence[int]):
 
     so the tangent line through w is inside the surface when both vanish,
     meets it to order three at u when only cone does, and otherwise meets
-    it again at cubic(w)*u - cone(w)*w.  The polar quadric is assembled
-    from the cached partials, each scaled by its u_m, and restricted once.
+    it again at cubic(w)*u - cone(w)*w.  The polar quadric's coefficients
+    are cached linear forms evaluated at u, and it is restricted once.
     Both restrictions take the flat path within the flat-table limit and
     the method path above it, so the kernel works at every field size.
     """

@@ -35,12 +35,17 @@ instantiates both line orbits of the degree-4 model over F_p and tests
 containment pointwise, checks a lemma of the paper and has no caller in
 the package.
 
+The root tables of the surface scans have the Horner scan at every code
+as their oracle (horner_zeros), and the pencil basis read off a gradient
+has the spanning points of the normalized tangent plane (pencil_basis).
+
 The rest is geometry and arithmetic only the tests use: Plucker
 coordinates, line-plane meets, the intersection cycle of a line with the
 surface (intersect_line, the oracle of the secant table), the pencil of
 lines of a plane through a point, tangent planes, asymptotic lines, the
 Gauss map along a contained line, cube roots of unity, coordinates on a
-good line, the rational root count of a binary cubic, the positive
+good line, the rational root count of a binary cubic and whether it
+splits, the third point on a line of the plane cubic, the positive
 slopes of a Newton polygon, the difference class [P - Q], the free rank
 of H, and exact checks of the Smith transforms.
 """
@@ -87,10 +92,11 @@ from cubicspan.hsgroup import (
 )
 from cubicspan.planecubic import (
     CurvePoint,
+    _normalized,
+    _third_coords,
     curve_point,
     curve_points,
     group_structure,
-    third_point,
 )
 from cubicspan.projgeo import (
     Line3,
@@ -99,7 +105,6 @@ from cubicspan.projgeo import (
     dot4,
     line_through,
     normalize,
-    pencil_basis,
     rank,
     skew,
 )
@@ -341,6 +346,12 @@ def pencil_third_point(a: CurvePoint, b: CurvePoint) -> CurvePoint:
     return curve_point(p, tuple((c3 * x - c2 * y) % p for x, y in zip(u, w)))
 
 
+def third_point(a: CurvePoint, b: CurvePoint) -> CurvePoint:
+    """The residual intersection of the line through a and b (tangent when
+    a = b) with the curve, by the package's closed form."""
+    return _normalized(a.p, _third_coords(a, b))
+
+
 def flexes(p: int) -> list[CurvePoint]:
     """Points whose tangent meets the curve triply there."""
     return [a for a in curve_points(p) if third_point(a, a) == a]
@@ -425,6 +436,38 @@ def meet(line: Line3, plane: Plane3) -> Union[ProjPoint, str]:
     if a == 0:
         return line.point_at(1, 0)
     return line.point_at(f.neg(b), a)
+
+
+def plane_point_basis(plane: Plane3) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Three spanning points of a plane, one per non-pivot coordinate."""
+    f = plane.field
+    n = plane.covector
+    j0 = next(i for i, c in enumerate(n) if c)
+    basis = []
+    for m in range(4):
+        if m == j0:
+            continue
+        vec = [0, 0, 0, 0]
+        vec[m] = 1
+        vec[j0] = f.neg(f.div(n[m], n[j0]))
+        basis.append(tuple(vec))
+    return basis[0], basis[1], basis[2]
+
+
+def pencil_basis(plane: Plane3, coords: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The basis pair (e0, e1) that indexes the lines of a plane through a point.
+
+    The point's coordinates must lie in the plane.  The pair is what is left
+    of plane_point_basis after dropping the spanning point that carries the
+    point's first nonzero coordinate.  It is the oracle of
+    surface._pencil_basis, which reads the same pair off a gradient.
+    """
+    basis = plane_point_basis(plane)
+    j0 = next(i for i, c in enumerate(plane.covector) if c)
+    pc = [coords[m] for m in range(4) if m != j0]
+    m0 = next(i for i, c in enumerate(pc) if c)
+    e0, e1 = [basis[i] for i in range(3) if i != m0]
+    return e0, e1
 
 
 def pencil_second_points(plane: Plane3, coords: Sequence[int]) -> list[tuple[int, ...]]:
@@ -824,6 +867,23 @@ def gauss_on_line(form: CubicForm, line: Line3) -> GaussMapOnLine:
 
 
 # -- arithmetic only the tests use --------------------------------------
+
+
+def horner_zeros(f: ExtField, c0: int, c1: int, c2: int, c3: int) -> list[int]:
+    """The codes t with c0 + c1 t + c2 t^2 + c3 t^3 = 0, ascending: Horner's
+    rule at every code on the flat tables, the oracle of the root tables."""
+    q = f.q
+    add, mul, _neg = f.flat_tables()
+    c3 *= q
+    return [
+        t for t in range(q)
+        if add[mul[add[mul[add[mul[c3 + t] * q + c2] * q + t] * q + c1] * q + t] * q + c0] == 0
+    ]
+
+
+def fully_rational(roots: CubicRoots) -> bool:
+    """Whether a binary cubic splits into rational linear factors."""
+    return roots.extension_roots == 0
 
 
 def rational_count(roots: CubicRoots) -> int:

@@ -154,6 +154,17 @@ def test_span_needs_seeds_or_skew_check(capsys):
     assert "seed-point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, point", [
+    (["span", "--p", "3"], "(1, 0, 0, 2)"),
+    (["hs", "--p", "3"], "(1, 0, 0, 2)"),
+    (["span", "--family", "Sprime_M", "--M", "7", "--p", "7"], "(0, 0, 0, 1)"),
+    (["hs", "--family", "S_M", "--M", "31", "--p", "2"], "(0, 0, 1, 1)"),
+], ids=["span-fermat", "hs-fermat", "span-Sprime_M", "hs-S_M"])
+def test_span_and_hs_name_the_first_singular_rational_point(capsys, argv, point):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: gradient vanishes at ProjPoint{point}\n"
+
+
 def test_span_skew_check_passes_on_fermat(capsys):
     code, doc = run_json(capsys, ["span", "--p", "13", "--skew-check"])
     assert code == 0

@@ -17,7 +17,7 @@ from cubicspan.field import (
     univariate_gcd,
 )
 
-from oracles import cube_roots_of_unity, rational_count
+from oracles import cube_roots_of_unity, fully_rational, rational_count
 
 AXIOM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (13, 1), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6), (13, 2)]
 
@@ -152,7 +152,7 @@ def test_roots_of_cubic_split_example():
     f31 = make_extension(31, 1)
     res = roots_of_cubic(f31, (29, 0, 0, 1))  # t^3 - 2
     assert res.rational == (((1, 4), 1), ((1, 7), 1), ((1, 20), 1))
-    assert res.extension_roots == 0 and res.fully_rational
+    assert res.extension_roots == 0 and fully_rational(res)
 
 
 def test_roots_of_cubic_irreducible_and_partial():
@@ -263,16 +263,18 @@ def test_flat_tables_agree_with_the_methods(pk):
             assert add[a * q + b] == f.add(a, b)
             assert mul[a * q + b] == f.mul(a, b)
     assert f.flat_tables() is f.flat_tables()
+    assert f.root_tables() is f.root_tables()
 
 
 def test_flat_tables_refuse_large_fields():
     f = make_extension(257, 1)
     assert f.q > _FLAT_TABLE_LIMIT
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceeded):
-            f.flat_tables()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024  # two q x q tables of GF(257) would take over 1 MB
+    for build in (f.flat_tables, f.root_tables):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # the q x q tables of GF(257) would take over 1 MB

@@ -1,6 +1,7 @@
 """Tests for the plane cubic group law and its small quotients."""
 
 import hashlib
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,9 @@ from cubicspan.planecubic import (
     pic_mod,
     point_order,
     prime_condition,
-    third_point,
     two_division_check,
 )
-from oracles import flexes, pencil_third_point, weierstrass_model_agrees
+from oracles import flexes, pencil_third_point, third_point, weierstrass_model_agrees
 
 SMALL_PRIMES = [2, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -275,9 +275,9 @@ def test_two_not_cube_mod_13():
 
 
 def test_prime_condition_table():
-    assert prime_condition(31).as_tuple() == (True, True, True)
-    assert prime_condition(7).as_tuple() == (True, False, False)
-    assert prime_condition(5).as_tuple() == (False, True, False)
+    assert astuple(prime_condition(31)) == (True, True, True)
+    assert astuple(prime_condition(7)) == (True, False, False)
+    assert astuple(prime_condition(5)) == (False, True, False)
     with pytest.raises(BadPrime):
         prime_condition(2)
 

@@ -11,7 +11,6 @@ from cubicspan.projgeo import (
     ProjPoint,
     dot4,
     line_through,
-    plane_point_basis,
     planes_through_line,
     rank,
     rref,
@@ -24,6 +23,7 @@ from oracles import (
     enumerate_point_tuples,
     lines_in_plane_through,
     meet,
+    plane_point_basis,
     plucker,
 )
 

@@ -18,6 +18,7 @@ from cubicspan import surface
 from cubicspan.harness import random_cubic_form, random_smooth_surface
 from cubicspan.projgeo import (
     Line3,
+    Plane3,
     ProjPoint,
     line_through,
     rref,
@@ -45,8 +46,10 @@ from oracles import (
     gamma_curve,
     gauss_on_line,
     groebner_smooth,
+    horner_zeros,
     intersect_line,
     lines_in_plane_through,
+    pencil_basis,
     singular_witness,
     tangent_plane,
     tangent_section_class,
@@ -504,10 +507,13 @@ def test_is_eckardt_rejects_what_classify_point_rejects():
 def _surface_layer_outputs(form, samples):
     f = form.field
     points = list(zero_points(form))
+    grads = [form.gradient(c) for c in points]
     return (
         points,
         [line.rows for line in lines_on_surface(form)],
         [form.restrict_to_line(u, v) for u, v in samples],
+        grads,
+        [tangent_pencil(form, c, g) for c, g in zip(points, grads)],
         [classify_point(form, ProjPoint(f, c)) for c in points],
         eckardt_points(form),
     )
@@ -534,8 +540,65 @@ def test_method_path_matches_flat_path(p, k, monkeypatch):
     # the tables stay cached, so only the limit can send the scans to the methods
     monkeypatch.setattr(fieldlib, "_FLAT_TABLE_LIMIT", 1)
     monkeypatch.setattr(ExtField, "flat_tables", no_tables)
+    monkeypatch.setattr(ExtField, "root_tables", no_tables)
     method = [_surface_layer_outputs(form, samples) for form in forms]
     assert method == flat
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_table_roots_match_horner_on_every_cubic(p, k):
+    f = make_extension(p, k)
+    for coeffs in itertools.product(range(f.q), repeat=4):
+        assert surface._cubic_zeros(f, *coeffs) == horner_zeros(f, *coeffs), coeffs
+
+
+def _product_of_roots(f, lead, roots):
+    """Ascending coefficients of lead * prod (t - r), padded to four."""
+    poly = [lead]
+    for r in roots:
+        shifted = [0] + poly
+        poly = [f.sub(a, f.mul(r, b)) for a, b in zip(shifted, poly + [0])]
+    return poly + [0] * (4 - len(poly))
+
+
+@pytest.mark.parametrize("p, k", [(3, 3), (3, 4), (3, 5), (251, 1), (2, 8)])
+def test_table_roots_match_horner_on_sampled_cubics(p, k):
+    f = make_extension(p, k)
+    q = f.q
+    rng = random.Random(q)
+
+    def unit():
+        return rng.randrange(1, q)
+
+    cubics = []
+    for _ in range(150):
+        r, s, t = (rng.randrange(q) for _ in range(3))
+        cubics += [
+            [rng.randrange(q) for _ in range(4)],
+            _product_of_roots(f, unit(), [r, r, r]),  # a triple root
+            _product_of_roots(f, unit(), [r, r, s]),
+            _product_of_roots(f, unit(), [r, s, t]),
+            _product_of_roots(f, unit(), [r, s]),  # the quadratic cases
+            _product_of_roots(f, unit(), [r, r]),
+            [rng.randrange(q), rng.randrange(q), unit(), 0],
+            [rng.randrange(q), unit(), 0, 0],  # linear
+            [unit(), 0, 0, 0],  # a nonzero constant
+        ]
+    cubics.append([0, 0, 0, 0])
+    for coeffs in cubics:
+        assert surface._cubic_zeros(f, *coeffs) == horner_zeros(f, *coeffs), coeffs
+
+
+@pytest.mark.parametrize("form", [
+    fermat_cubic(make_extension(2, 2)),
+    fermat_cubic(F13),
+    surface_with_27_lines_over_f64().embed(make_extension(2, 6)),
+], ids=["fermat4", "fermat13", "example64"])
+def test_pencil_basis_read_off_the_gradient_matches_the_plane_oracle(form):
+    f = form.field
+    for coords in zero_points(form):
+        grad = form.gradient(coords)
+        assert surface._pencil_basis(f, coords, grad) == pencil_basis(Plane3(f, grad), coords)
 
 
 def test_classification_census_f5():
