@@ -344,14 +344,13 @@ def _span_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
 
     def table():
         if "table" not in state:
-            state["form"] = surface_for_config(config)
-            state["table"] = SpanTable(state["form"])
+            state["table"] = SpanTable(surface_for_config(config))
         return state["table"]
 
     def check_skew_singleton():
         tab = table()
         try:
-            report = verify_skew_singleton_span(state["form"], table=tab)
+            report = verify_skew_singleton_span(tab.form, table=tab)
         except ConfigurationAbsent as absent:
             return "skip", {}, str(absent)
         detail = {
@@ -366,7 +365,7 @@ def _span_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
     def check_span_lemmas():
         tab = table()
         try:
-            report = verify_span_lemmas(state["form"], table=tab)
+            report = verify_span_lemmas(tab.form, table=tab)
         except (ConfigurationAbsent, HypothesisFailed) as absent:
             return "skip", {}, str(absent)
         detail = {
@@ -393,16 +392,13 @@ def _hs_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
 
     def presentation():
         if "presentation" not in state:
-            form = surface_for_config(config)
-            state["presentation"] = ZPresentation(
-                form, table=SpanTable(form), lines=lines_on_surface(form)
-            )
+            state["presentation"] = ZPresentation(surface_for_config(config))
         return state["presentation"]
 
     def check_torsion():
         pres = presentation()
         st = pres.structure
-        if not pres.lines:
+        if not pres.table.lines:
             return "skip", {}, "the surface has no rational line"
         detail = {
             "h0_free_rank": st.h0_free_rank,
@@ -410,9 +406,7 @@ def _hs_checks(config: ExperimentConfig) -> list[tuple[str, Callable]]:
         }
         if not st.h0_order_divides_two:
             return "fail", detail, None
-        has_skew = any(
-            skew(a, b) for i, a in enumerate(pres.lines) for b in pres.lines[i + 1 :]
-        )
+        has_skew = next(pres.table.skew_pairs(), None) is not None
         detail["skew_pair"] = has_skew
         if has_skew and not st.h0_trivial:
             return "fail", detail, None

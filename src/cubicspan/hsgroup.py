@@ -41,8 +41,8 @@ from .errors import (
     PointNotOnSurface,
 )
 from .projgeo import Line3, ProjPoint
-from .span import SpanTable, minimal_generators
-from .surface import CubicForm, classify_point, lines_on_surface
+from .span import SpanTable, _ternary_by_thirds, minimal_generators
+from .surface import CubicForm
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -267,28 +267,19 @@ class ZPresentation:
     relation matrix is built from those class-space images, reduced to a
     triangular lattice basis, and put in Smith normal form with invertible
     transforms.  With one class the matrix is empty and no sum is listed.
+    The contained lines and the tangent thirds are read off the table.
     """
 
-    def __init__(
-        self,
-        form: CubicForm,
-        table: Optional[SpanTable] = None,
-        lines: Optional[list[Line3]] = None,
-    ):
+    def __init__(self, form: CubicForm, table: Optional[SpanTable] = None):
         if table is None:
             table = SpanTable(form)
-        if lines is None:
-            lines = lines_on_surface(form)
         self.form = form
         self.table = table
         self.points = table.points
-        self.lines = lines
         n = len(self.points)
         if n == 0:
             raise NoRationalPoints("the surface has no rational point")
-        self._line_indices = [
-            sorted(table.index[p.coords] for p in line.points()) for line in lines
-        ]
+        self._line_indices = [sorted(idx) for idx in table.line_indices]
 
         uf = _UnionFind(n)
         for idx in self._line_indices:
@@ -477,12 +468,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def hs_structure(
-    form: CubicForm,
-    table: Optional[SpanTable] = None,
-    lines: Optional[list[Line3]] = None,
+    form: CubicForm, table: Optional[SpanTable] = None, lines: Optional[list[Line3]] = None
 ) -> GroupStructure:
-    """Free rank, invariant factors, and mod-p dimensions of H and H0."""
-    return ZPresentation(form, table=table, lines=lines).structure
+    """Free rank, invariant factors, and mod-p dimensions of H and H0; lines is unused."""
+    return ZPresentation(form, table=table).structure
 
 
 @dataclass(frozen=True)
@@ -505,7 +494,8 @@ def ternary_bound_check(
 ) -> TernaryBoundReport:
     """Check r >= dim H0/pH0 for p in {2, 3} and the generation claim.
 
-    The base point is the first ternary point in scan order.  The bound is
+    The base point is the first ternary point in scan order, read off the
+    tangent thirds (span._ternary_by_thirds).  The bound is
     compared against the exhaustive minimal generator count when that
     search fits its budget; the generation claim is checked for the
     spanning witness (every class [P - P0], P in B, together generating
@@ -514,13 +504,10 @@ def ternary_bound_check(
     if presentation is None:
         presentation = ZPresentation(form, table=table)
     table = presentation.table
-    base_point = None
-    for p in presentation.points:
-        if classify_point(form, p).ternary:
-            base_point = p
-            break
-    if base_point is None:
+    base = next((i for i in range(len(table.points)) if _ternary_by_thirds(table, i)), None)
+    if base is None:
         raise NoTernaryPoint("no ternary point on the surface")
+    base_point = table.points[base]
     structure = presentation.structure
 
     r = None
@@ -532,11 +519,7 @@ def ternary_bound_check(
         pass
     if r is not None:
         consistent = r >= structure.h0_dim_mod2 and r >= structure.h0_dim_mod3
-
-    if r is not None:
-        witness = list(found.witness)
-    else:
-        witness = list(presentation.points)
+    witness = list(found.witness) if r is not None else list(presentation.points)
     generates = _difference_classes_generate(presentation, base_point, witness)
     return TernaryBoundReport(
         base_point,

@@ -22,8 +22,10 @@ pair entries.  The tangent pencil at a point P is one line of second
 points e0 + t*e1 (then e1): surface.tangent_pencil restricts F and the
 polar quadric sum_m P_m dF/dx_m to it once each, and each pencil line
 reads its two coefficients off those polynomials by Horner's rule in t.
-The span checks read Eckardt points off the tangent thirds
-(_eckardt_by_thirds), and skew pairs off the point sets of the lines.
+The table is the one object per surface: it also holds the rational
+lines, scanned once, with their point indices.  Eckardt and ternary
+points are read off the tangent thirds (_eckardt_by_thirds,
+_ternary_by_thirds), skew pairs off the lines' point sets.
 
 spn is a closure operator: Q in spn(B) gives spn(Q) in spn(B).  So once
 spn(Q) = S(F_q) is known, every closure that reaches Q spans the surface
@@ -39,13 +41,14 @@ from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     BudgetExceeded,
     ConfigurationAbsent,
     HypothesisFailed,
     PointNotOnSurface,
+    SingularPoint,
 )
 from .projgeo import Line3, ProjPoint, skew
 from .surface import (
@@ -90,6 +93,8 @@ class SpanTable:
     read off the gradient at i); an entry equal to i itself records an
     asymptotic line.
 
+    lines come from one surface.lines_on_surface scan; line_indices[m]
+    holds the indices of the points of lines[m], in Line3.points() order.
     spanning_lines is the number of lines a closure that reaches every
     point examines, filled in by the first such closure (see closure).
 
@@ -98,16 +103,19 @@ class SpanTable:
     (q - 1)^4 > PAIR_TABLE_BUDGET: it has at least (q - 1)^2 points (the
     Weil-Manin count).  Any other point set with more than
     PAIR_TABLE_BUDGET pairs raises it before any gradient is taken.  The
-    first rational point whose gradient vanishes raises SingularPoint.
+    first rational point whose gradient vanishes raises SingularPoint, and
+    so, after the gradients, does a surface that is_smooth finds singular.
     """
 
-    __slots__ = ("form", "points", "index", "pair_third", "tangent_thirds", "spanning_lines")
+    __slots__ = ("form", "points", "index", "lines", "line_indices", "pair_third",
+                 "tangent_thirds", "spanning_lines")
 
     def __init__(self, form: CubicForm):
         f = form.field
         add, mul, neg = f.flat_tables()
         q = f.q
-        if (q - 1) ** 4 > PAIR_TABLE_BUDGET and is_smooth(form):
+        smooth = is_smooth(form)
+        if (q - 1) ** 4 > PAIR_TABLE_BUDGET and smooth:
             raise BudgetExceeded(f"a smooth surface over GF({q}) has at least {(q - 1) ** 2} points")
         points = surface_points(form)
         n = len(points)
@@ -118,6 +126,10 @@ class SpanTable:
         index = {p.coords: i for i, p in enumerate(points)}
         self.index = index
         grads = [_smooth_gradient(form, p.coords) for p in points]
+        if not smooth:
+            raise SingularPoint("the surface is singular at a point over an extension field")
+        self.lines = lines_on_surface(form)
+        self.line_indices = [tuple(index[p.coords] for p in line.points()) for line in self.lines]
         # inverses premultiplied by q, ready to index a row of mul
         inv_row = [0] + [f.inv(a) * q for a in range(1, q)]
 
@@ -200,6 +212,15 @@ class SpanTable:
             tangents.append(tuple(thirds))
         self.tangent_thirds = tangents
         self.spanning_lines: Optional[int] = None
+
+    def skew_pairs(self) -> Iterator[tuple[int, int]]:
+        """The positions (a, b), a < b, of the skew pairs of lines, in scan
+        order.  Rational lines that meet do so in a Galois-fixed, so
+        rational, point: skew lines are those with disjoint point sets."""
+        sets = [frozenset(idx) for idx in self.line_indices]
+        for a, b in combinations(range(len(sets)), 2):
+            if sets[a].isdisjoint(sets[b]):
+                yield a, b
 
     def closure(self, seeds: Iterable[int], spanning: Optional[bytearray] = None):
         """Grow a seed index set to its secant-tangent fixpoint.
@@ -331,10 +352,6 @@ def span_closure(
     return SpanState(pts, len(rounds) - 1, rounds, lines, len(table.points))
 
 
-def _line_point_indices(table: SpanTable, line: Line3) -> tuple[int, ...]:
-    return tuple(table.index[p.coords] for p in line.points())
-
-
 def _eckardt_by_thirds(table: SpanTable, i: int) -> bool:
     """Whether point i is an Eckardt point, read off tangent_thirds[i].
 
@@ -347,6 +364,14 @@ def _eckardt_by_thirds(table: SpanTable, i: int) -> bool:
     thirds = table.tangent_thirds[i]
     return all(k == i for k in thirds) and (
         len(thirds) >= 3 or is_eckardt(table.form, table.points[i]))
+
+
+def _ternary_by_thirds(table: SpanTable, i: int) -> bool:
+    """Whether point i is ternary, read off tangent_thirds[i]: the cone has
+    a rational zero on the q + 1 pencil lines.  A zero gives a third point
+    i or a contained line, which the table skips; a nonzero, another point."""
+    thirds = table.tangent_thirds[i]
+    return i in thirds or len(thirds) <= table.form.field.q
 
 
 def _closure_unless_spanning(
@@ -386,8 +411,9 @@ def verify_skew_singleton_span(
 ) -> SkewSingletonReport:
     """Check spn(P) = S(F_q) for every non-Eckardt P on a skew rational pair.
 
-    The pair defaults to the first skew pair of rational lines in scan
-    order; ConfigurationAbsent is raised when the surface has none.
+    The pair defaults to the first skew pair of the table's lines
+    (SpanTable.skew_pairs); ConfigurationAbsent is raised when the surface
+    has none.  A given pair must be two of the table's lines.
 
     Each point that spans is flagged for the rest of the call, and later
     closures stop at the first flagged point they reach.  That is exact:
@@ -397,14 +423,17 @@ def verify_skew_singleton_span(
     if table is None:
         table = SpanTable(form)
     if pair is None:
-        pair = find_skew_pair(form)
+        first = next(table.skew_pairs(), None)
+        if first is None:
+            raise ConfigurationAbsent("the surface has no rational skew pair of lines")
+        pair = (table.lines[first[0]], table.lines[first[1]])
     spanning = bytearray(len(table.points))
     checked = 0
     skipped = 0
     failures = []
     seen: set[int] = set()
     for line in pair:
-        for i in _line_point_indices(table, line):
+        for i in table.line_indices[table.lines.index(line)]:
             if i in seen:
                 continue
             seen.add(i)
@@ -419,11 +448,9 @@ def verify_skew_singleton_span(
 
 def find_skew_pair(form: CubicForm) -> tuple[Line3, Line3]:
     """The first pair of skew rational lines on the surface, in scan order."""
-    lines = lines_on_surface(form)
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            if skew(lines[i], lines[j]):
-                return lines[i], lines[j]
+    for pair in combinations(lines_on_surface(form), 2):
+        if skew(*pair):
+            return pair
     raise ConfigurationAbsent("the surface has no rational skew pair of lines")
 
 
@@ -475,7 +502,7 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
         raise HypothesisFailed("the span lemmas assume a field with at least 13 elements")
     if table is None:
         table = SpanTable(form)
-    lines = lines_on_surface(form)
+    lines, indices = table.lines, table.line_indices
     if not lines:
         raise ConfigurationAbsent("the surface has no rational line")
     n = len(table.points)
@@ -491,10 +518,7 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
 
     lemma_a: Optional[bool] = None
     checked_a = 0
-    indices = {line: _line_point_indices(table, line) for line in lines}
-    point_sets = {line: frozenset(idx) for line, idx in indices.items()}
-    for line in lines:
-        targets = indices[line]
+    for line, targets in zip(lines, indices):
         for i in sorted(targets):
             if _eckardt_by_thirds(table, i):
                 continue
@@ -511,17 +535,14 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
     checked_b = 0
     lemma_c: Optional[bool] = None
     checked_c = 0
-    # rational lines that meet do so in a Galois-fixed, so rational, point
-    skew_pairs = [(l1, l2) for i, l1 in enumerate(lines) for l2 in lines[i + 1 :]
-                  if point_sets[l1].isdisjoint(point_sets[l2])]
-    for l1, l2 in skew_pairs:
-        idx1, idx2 = indices[l1], indices[l2]
+    for a, b in table.skew_pairs():
+        idx1, idx2 = indices[a], indices[b]
         for src, dst in ((idx1, idx2), (idx2, idx1)):
             checked_b += 1
             if not spans(src, dst):
                 lemma_b = False
                 counterexample = counterexample or (
-                    f"span of {l1} misses points of {l2}"
+                    f"span of {lines[a]} misses points of {lines[b]}"
                 )
         if lemma_b is None:
             lemma_b = True
@@ -530,7 +551,7 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
         if members is not None:
             lemma_c = False
             counterexample = counterexample or (
-                f"skew pair {l1}, {l2} spans only {members.count(1)} of {n} points"
+                f"skew pair {lines[a]}, {lines[b]} spans only {members.count(1)} of {n} points"
             )
         elif lemma_c is None:
             lemma_c = True

@@ -124,7 +124,7 @@ from cubicspan.reduction import (
     reduce_to_curve,
     reduction_class,
 )
-from cubicspan.span import SpanLemmaReport, SpanTable, _eckardt_by_thirds
+from cubicspan.span import SpanLemmaReport, SpanTable, _eckardt_by_thirds, _ternary_by_thirds
 from cubicspan.surface import (
     FAMILIES,
     CubicForm,
@@ -973,24 +973,30 @@ def hs_free_rank(structure: GroupStructure) -> int:
 
 
 def table_read_verdicts(form: CubicForm, table: SpanTable, lines: list[Line3]):
-    """Check the three reads taken off a span table against what they replace.
+    """Check the reads taken off a span table against what they replace.
 
-    ZPresentation.sum_count against the listed sums, span._eckardt_by_thirds
-    against is_eckardt at every point, and disjoint point sets against
-    projgeo.skew on every line pair.  Returns the class count, the set of
-    Eckardt verdicts met and a Counter of the skew verdicts.
+    The table's lines against the given scan and its line_indices against
+    Line3.points(), ZPresentation.sum_count against the listed sums,
+    span._eckardt_by_thirds against is_eckardt and span._ternary_by_thirds
+    against classify_point at every point, and SpanTable.skew_pairs
+    against projgeo.skew on every line pair.  Returns the class count, the
+    set of Eckardt verdicts met and a Counter of the skew verdicts.
     """
-    pres = ZPresentation(form, table=table, lines=lines)
+    assert table.lines == lines
+    for line, idx in zip(lines, table.line_indices):
+        assert idx == tuple(table.index[p.coords] for p in line.points()), line
+    pres = ZPresentation(form, table=table)
     assert pres.sum_count == sum(1 for _ in pres._generating_sums())
     eckardt = set()
     for i, p in enumerate(table.points):
         got = _eckardt_by_thirds(table, i)
         assert got == is_eckardt(form, p), p
         eckardt.add(got)
-    point_sets = [frozenset(table.index[p.coords] for p in line.points()) for line in lines]
+        assert _ternary_by_thirds(table, i) == classify_point(form, p).ternary, p
+    disjoint = set(table.skew_pairs())
     skews: Counter[bool] = Counter()
-    for (a, la), (b, lb) in combinations(zip(point_sets, lines), 2):
-        got = a.isdisjoint(b)
+    for (a, la), (b, lb) in combinations(enumerate(lines), 2):
+        got = (a, b) in disjoint
         assert got == skew(la, lb), (la, lb)
         skews[got] += 1
     return len(pres.class_reps), eckardt, skews

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -306,6 +307,35 @@ def test_hs_suite_builds_one_presentation(monkeypatch):
     report = run_suite("hs", ExperimentConfig(p=5))
     assert report.passed
     assert len(built) == 1
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name under every name the package binds to it; each
+    call appends one entry to the returned list."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("cubicspan"):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
+@pytest.mark.parametrize("suite", ["span", "hs"])
+def test_suite_scans_lines_once_and_takes_one_pencil_per_point(suite, monkeypatch):
+    import cubicspan.surface as surface
+
+    n = sum(1 for _ in surface.zero_points(surface_for_config(ExperimentConfig())))
+    scans = _count_calls(monkeypatch, surface, "lines_on_surface")
+    pencils = _count_calls(monkeypatch, surface, "tangent_pencil")
+    assert run_suite(suite, ExperimentConfig()).passed
+    assert (len(scans), len(pencils)) == (1, n)
 
 
 def test_geometry_suite_on_char2_example():

@@ -308,7 +308,7 @@ def test_presentation_matches_point_level_oracle(name):
     form = ORACLE_SURFACES[name]()
     table = SpanTable(form)
     lines = lines_on_surface(form)
-    pres = ZPresentation(form, table=table, lines=lines)
+    pres = ZPresentation(form, table=table)
     oracle = point_level_presentation(table, lines)
     sums = pres.sums
     assert sums == oracle["sums"]

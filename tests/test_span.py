@@ -10,10 +10,12 @@ from cubicspan.errors import (
     ConfigurationAbsent,
     HypothesisFailed,
     PointNotOnSurface,
+    SingularPoint,
 )
 from cubicspan import span
 from cubicspan.field import make_extension
 from cubicspan.harness import random_smooth_surface
+from cubicspan.hsgroup import hs_structure
 from cubicspan.projgeo import (
     ProjPoint,
     line_through,
@@ -710,6 +712,19 @@ def test_pair_table_budget(fermat5_table, monkeypatch):
     monkeypatch.setattr(span, "PAIR_TABLE_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
         SpanTable(fermat5_table.form)
+
+
+def test_table_refuses_a_surface_singular_only_over_an_extension():
+    # test_surface's form whose only singular points are a Galois-conjugate
+    # triple over F_{13^3}: every rational gradient is nonzero
+    form = CubicForm(F13, {
+        (3, 0, 0, 0): 1, (0, 3, 0, 0): 11, (0, 0, 3, 0): 4, (0, 0, 0, 3): 1,
+        (1, 1, 1, 0): 6, (2, 0, 0, 1): 3, (0, 1, 1, 1): 6,
+    })
+    assert all(any(form.gradient(c)) for c in zero_points(form))
+    for build in (SpanTable, hs_structure, verify_span_lemmas):
+        with pytest.raises(SingularPoint, match="extension"):
+            build(form)
 
 
 def test_table_refuses_a_field_above_the_flat_limit_before_scanning(monkeypatch):
