@@ -16,16 +16,22 @@ closure runs are then pure index pushing.
 The preprocessing runs on the field's flat add/mul/neg tables
 (ExtField.flat_tables) and refuses a field above their limit, so the
 point scan and the restrictions under it take surface.py's flat path
-too.  A secant that meets the surface in three distinct points is
-solved once, from whichever of its pairs comes first, and fills all three
-pair entries.  The tangent pencil at a point P is one line of second
-points e0 + t*e1 (then e1): surface.tangent_pencil restricts F and the
-polar quadric sum_m P_m dF/dx_m to it once each, and each pencil line
-reads its two coefficients off those polynomials by Horner's rule in t.
-The table is the one object per surface: it also holds the rational
-lines, scanned once, with their point indices.  Eckardt and ternary
-points are read off the tangent thirds (_eckardt_by_thirds,
-_ternary_by_thirds), skew pairs off the lines' point sets.
+too.  Pairs are solved on demand, since a span check reads few of them:
+an entry starts at UNSOLVED (-2), a closure solves it when it reads it,
+and the first read of SpanTable.pair_third solves every entry left
+(assigning pair_third installs a filled table).  A secant that meets the
+surface in three distinct points is solved once, from whichever of its
+pairs comes first, and fills all three pair entries, so the table does
+not depend on the order of the solves.  spanning_lines is counted in
+closed form from the tangent entries and the lines, with no pair read.
+The tangent pencil at a point P is one line of second points e0 + t*e1
+(then e1): surface.tangent_pencil restricts F and the polar quadric
+sum_m P_m dF/dx_m to it once each, and each pencil line reads its two
+coefficients off those polynomials by Horner's rule in t.  The table is
+the one object per surface: it also holds the rational lines, scanned
+once, with their point indices.  Eckardt and ternary points are read off
+the tangent thirds (_eckardt_by_thirds, _ternary_by_thirds), skew pairs
+off the lines' point sets.
 
 spn is a closure operator: Q in spn(B) gives spn(Q) in spn(B).  So once
 spn(Q) = S(F_q) is known, every closure that reaches Q spans the surface
@@ -64,6 +70,9 @@ from .surface import (
 #: refuse to build a pair table beyond this many (point, point) entries
 PAIR_TABLE_BUDGET = 4_000_000
 
+#: the backing entry of a pair whose secant is not solved yet
+UNSOLVED = -2
+
 #: largest subset size minimal_generators searches
 GENERATOR_SIZE_LIMIT = 3
 
@@ -83,20 +92,32 @@ class SpanTable:
 
     pair_third is a flattened N x N array: entry i*N+j holds the index of
     the third intersection point of the line through points i and j, or -1
-    when that line lies inside the surface.  When the secant through i and
-    j meets the surface in three distinct points i, j, k, one solve fills
-    the entries of all three pairs; when k is i or j the line is tangent
-    there and only the pair (i, j) is filled.  tangent_thirds[i] lists the
-    third points of the non-contained tangent lines at point i, in the
-    order of the pencil from surface.tangent_pencil: the line through
-    e0 + t*e1 for each field code t, then the line through e1 (e0 and e1
-    read off the gradient at i); an entry equal to i itself records an
-    asymptotic line.
+    when that line lies inside the surface (and on the diagonal).  When the
+    secant through i and j meets the surface in three distinct points i, j,
+    k, one solve fills the entries of all three pairs; when k is i or j the
+    line is tangent there and only the pair (i, j) is filled.
+
+    Pairs are solved on demand.  The backing array starts at UNSOLVED (-2)
+    off the diagonal, and closure solves an UNSOLVED entry when it reads
+    one.  The first read of pair_third solves every entry still UNSOLVED,
+    one flag marks the table filled, and later reads return the same array,
+    equal to the one a solve of every pair in row order builds.  Assigning
+    pair_third replaces the backing array and marks it filled.
+
+    tangent_thirds[i] lists the third points of the non-contained tangent
+    lines at point i, in the order of the pencil from
+    surface.tangent_pencil: the line through e0 + t*e1 for each field code
+    t, then the line through e1 (e0 and e1 read off the gradient at i); an
+    entry equal to i itself records an asymptotic line.
 
     lines come from one surface.lines_on_surface scan; line_indices[m]
     holds the indices of the points of lines[m], in Line3.points() order.
     spanning_lines is the number of lines a closure that reaches every
-    point examines, filled in by the first such closure (see closure).
+    point examines, set by the first such closure (see closure).  It is
+    the tangent entries plus the pairs off the contained lines,
+    sum len(tangent_thirds[i]) + C(N, 2) - sum_L C(m_L, 2) over the lines
+    L of m_L points, as a contained secant is rational and two lines share
+    no pair; so it needs no pair solved.
 
     A field above the flat-table limit raises BudgetExceeded before any
     point is scanned, and so does a smooth surface over a field with
@@ -107,8 +128,8 @@ class SpanTable:
     so, after the gradients, does a surface that is_smooth finds singular.
     """
 
-    __slots__ = ("form", "points", "index", "lines", "line_indices", "pair_third",
-                 "tangent_thirds", "spanning_lines")
+    __slots__ = ("form", "points", "index", "lines", "line_indices", "tangent_thirds",
+                 "spanning_lines", "_pairs", "_filled", "_solve")
 
     def __init__(self, form: CubicForm):
         f = form.field
@@ -147,34 +168,39 @@ class SpanTable:
 
         coords = [p.coords for p in points]
         grad_rows = [tuple(g * q for g in grad) for grad in grads]
-        table = array("i", [-1]) * (n * n)
-        for i in range(n):
+        table = array("i", [UNSOLVED]) * (n * n)
+        table[:: n + 1] = array("i", [-1]) * n
+
+        def solve(i, j):
+            """Fill the entries of the secant through points i and j; return
+            the third point, or -1 when the line lies inside the surface."""
             u0, u1, u2, u3 = coords[i]
             g0, g1, g2, g3 = grad_rows[i]
-            base = i * n
-            for j in range(i + 1, n):
-                if table[base + j] >= 0:
-                    continue  # filled by an earlier solve on the same secant
-                v0, v1, v2, v3 = coords[j]
-                h0, h1, h2, h3 = grad_rows[j]
-                c1 = add[add[add[mul[g0 + v0] * q + mul[g1 + v1]] * q + mul[g2 + v2]] * q + mul[g3 + v3]]
-                c2 = add[add[add[mul[h0 + u0] * q + mul[h1 + u1]] * q + mul[h2 + u2]] * q + mul[h3 + u3]]
-                if c1 == 0 and c2 == 0:
-                    continue  # line inside the surface
-                a = c2 * q
-                b = neg[c1] * q
-                k = lookup(
-                    add[mul[a + u0] * q + mul[b + v0]],
-                    add[mul[a + u1] * q + mul[b + v1]],
-                    add[mul[a + u2] * q + mul[b + v2]],
-                    add[mul[a + u3] * q + mul[b + v3]],
-                )
-                table[base + j] = table[j * n + i] = k
-                if k != i and k != j:
-                    # the secant meets the surface in exactly i, j and k
-                    table[i * n + k] = table[k * n + i] = j
-                    table[j * n + k] = table[k * n + j] = i
-        self.pair_third = table
+            v0, v1, v2, v3 = coords[j]
+            h0, h1, h2, h3 = grad_rows[j]
+            c1 = add[add[add[mul[g0 + v0] * q + mul[g1 + v1]] * q + mul[g2 + v2]] * q + mul[g3 + v3]]
+            c2 = add[add[add[mul[h0 + u0] * q + mul[h1 + u1]] * q + mul[h2 + u2]] * q + mul[h3 + u3]]
+            if c1 == 0 and c2 == 0:
+                table[i * n + j] = table[j * n + i] = -1  # line inside the surface
+                return -1
+            a = c2 * q
+            b = neg[c1] * q
+            k = lookup(
+                add[mul[a + u0] * q + mul[b + v0]],
+                add[mul[a + u1] * q + mul[b + v1]],
+                add[mul[a + u2] * q + mul[b + v2]],
+                add[mul[a + u3] * q + mul[b + v3]],
+            )
+            table[i * n + j] = table[j * n + i] = k
+            if k != i and k != j:
+                # the secant meets the surface in exactly i, j and k
+                table[i * n + k] = table[k * n + i] = j
+                table[j * n + k] = table[k * n + j] = i
+            return k
+
+        self._pairs = table
+        self._filled = False
+        self._solve = solve
 
         tangents = []
         for i in range(n):
@@ -213,6 +239,28 @@ class SpanTable:
         self.tangent_thirds = tangents
         self.spanning_lines: Optional[int] = None
 
+    @property
+    def pair_third(self) -> array:
+        """The full pair table; the first read solves every pair left."""
+        if not self._filled:
+            table, solve = self._pairs, self._solve
+            n = len(self.points)
+            for i in range(n):
+                at, stop = i * n + i, (i + 1) * n
+                while True:
+                    try:
+                        at = table.index(UNSOLVED, at + 1, stop)
+                    except ValueError:
+                        break
+                    solve(i, at - i * n)
+            self._filled = True
+        return self._pairs
+
+    @pair_third.setter
+    def pair_third(self, table) -> None:
+        self._pairs = table
+        self._filled = True
+
     def skew_pairs(self) -> Iterator[tuple[int, int]]:
         """The positions (a, b), a < b, of the skew pairs of lines, in scan
         order.  Rational lines that meet do so in a Galois-fixed, so
@@ -228,7 +276,8 @@ class SpanTable:
         Returns (member flags, members in insertion order, added-per-round
         counts, lines examined).  Each unordered pair of members is examined
         exactly once, at the turn of whichever point entered later, and each
-        member's tangent lines once.
+        member's tangent lines once.  A pair read while UNSOLVED is solved
+        then.
 
         The run stops at the first turn at which every point is a member,
         with the statistics of the full run: later turns add nothing, and a
@@ -247,7 +296,8 @@ class SpanTable:
         is exactly the unflagged one.
         """
         n = len(self.points)
-        table = self.pair_third
+        table = self._pairs
+        solve = self._solve
         tangents = self.tangent_thirds
         flags = bytes(n) if spanning is None else spanning
         members = bytearray(n)
@@ -272,8 +322,9 @@ class SpanTable:
                     if added:
                         rounds.append(added)
                     if len(order) == n:
-                        if self.spanning_lines is None:  # -1: the diagonal and contained secants
-                            self.spanning_lines = sum(map(len, tangents)) + (n * n - table.count(-1)) // 2
+                        if self.spanning_lines is None:  # every pair off a contained line
+                            self.spanning_lines = sum(map(len, tangents)) + comb(n, 2) - sum(
+                                comb(len(idx), 2) for idx in self.line_indices)
                         lines = self.spanning_lines
                     return members, order, tuple(rounds), lines
                 base = i * n
@@ -292,6 +343,8 @@ class SpanTable:
                     continue
                 for j in order[: position[i]]:
                     k = table[base + j]
+                    if k == UNSOLVED:
+                        k = solve(i, j)
                     if k >= 0:
                         lines += 1
                         if not members[k]:

@@ -51,6 +51,7 @@ of H, and exact checks of the Smith transforms.
 """
 
 import heapq
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -124,7 +125,14 @@ from cubicspan.reduction import (
     reduce_to_curve,
     reduction_class,
 )
-from cubicspan.span import SpanLemmaReport, SpanTable, _eckardt_by_thirds, _ternary_by_thirds
+from cubicspan.span import (
+    SpanLemmaReport,
+    SpanTable,
+    _eckardt_by_thirds,
+    _ternary_by_thirds,
+    span_closure,
+    verify_skew_singleton_span,
+)
 from cubicspan.surface import (
     FAMILIES,
     CubicForm,
@@ -133,6 +141,7 @@ from cubicspan.surface import (
     _binary_quadratic_roots,
     _mono_indices,
     _restrict_terms_to_line,
+    _smooth_gradient,
     _substitute_linear,
     classify_point,
     is_eckardt,
@@ -1018,6 +1027,74 @@ def verify_presentation(pres: ZPresentation) -> None:
         raise AssertionError("U inverse mismatch")
     if mat_mul(v, vinv) != _identity(len(v)):
         raise AssertionError("V inverse mismatch")
+
+
+def reference_pair_table(table: SpanTable) -> array:
+    """The pair table of table's surface, every pair solved in one pass.
+
+    Pairs are taken in row order, i < j; a secant through three distinct
+    points is solved at its first pair and fills all three pair entries.
+    Entries of the diagonal and of contained secants are -1.
+    """
+    form = table.form
+    f = form.field
+    add, mul, neg = f.flat_tables()
+    q = f.q
+    index = table.index
+    coords = [p.coords for p in table.points]
+    n = len(coords)
+    grad_rows = [tuple(g * q for g in _smooth_gradient(form, c)) for c in coords]
+    inv_row = [0] + [f.inv(a) * q for a in range(1, q)]
+
+    def lookup(w0, w1, w2, w3):
+        if w0:
+            s = inv_row[w0]
+            return index[(1, mul[s + w1], mul[s + w2], mul[s + w3])]
+        if w1:
+            s = inv_row[w1]
+            return index[(0, 1, mul[s + w2], mul[s + w3])]
+        if w2:
+            return index[(0, 0, 1, mul[inv_row[w2] + w3])]
+        return index[(0, 0, 0, 1)]
+
+    pairs = array("i", [-1]) * (n * n)
+    for i in range(n):
+        u0, u1, u2, u3 = coords[i]
+        g0, g1, g2, g3 = grad_rows[i]
+        base = i * n
+        for j in range(i + 1, n):
+            if pairs[base + j] >= 0:
+                continue  # filled by an earlier solve on the same secant
+            v0, v1, v2, v3 = coords[j]
+            h0, h1, h2, h3 = grad_rows[j]
+            c1 = add[add[add[mul[g0 + v0] * q + mul[g1 + v1]] * q + mul[g2 + v2]] * q + mul[g3 + v3]]
+            c2 = add[add[add[mul[h0 + u0] * q + mul[h1 + u1]] * q + mul[h2 + u2]] * q + mul[h3 + u3]]
+            if c1 == 0 and c2 == 0:
+                continue  # line inside the surface
+            a = c2 * q
+            b = neg[c1] * q
+            k = lookup(
+                add[mul[a + u0] * q + mul[b + v0]],
+                add[mul[a + u1] * q + mul[b + v1]],
+                add[mul[a + u2] * q + mul[b + v2]],
+                add[mul[a + u3] * q + mul[b + v3]],
+            )
+            pairs[base + j] = pairs[j * n + i] = k
+            if k != i and k != j:
+                pairs[i * n + k] = pairs[k * n + i] = j
+                pairs[j * n + k] = pairs[k * n + j] = i
+    return pairs
+
+
+def close_before_reading(table: SpanTable) -> None:
+    """Run closures on a table before any full read of its pairs: the
+    singleton-span check, where the surface has a skew pair, then the
+    closures of a few single points."""
+    if next(table.skew_pairs(), None) is not None:
+        verify_skew_singleton_span(table.form, table=table)
+    n = len(table.points)
+    for i in range(0, n, max(1, n // 3)):
+        span_closure(table.form, [table.points[i]], table=table)
 
 
 def reference_closure(table: SpanTable, seeds: Iterable[int], stop_when: Optional[set[int]] = None):

@@ -47,7 +47,7 @@ from cubicspan.surface import (
     surface_with_27_lines_over_f64,
 )
 
-from oracles import table_read_verdicts
+from oracles import close_before_reading, reference_pair_table, table_read_verdicts
 
 # Seeds drawn through random_smooth_surface until the sampled surface has
 # a rational skew line pair (left column) or exactly one rational line
@@ -190,6 +190,17 @@ def test_criterion_4_h0_vanishes_or_is_two_torsion(skew_surfaces, one_line_surfa
     for s in one_line_surfaces:
         assert len(s["lines"]) == 1
         assert s["structure"].h0_order_divides_two
+
+
+def test_stock_pair_tables_match_the_eager_fill(skew_surfaces, one_line_surfaces):
+    """On the criterion-3 and criterion-4 stock, pair_third equals every
+    pair solved in row order: read on the fixture's tables once closures
+    have solved some of their pairs, and read on fresh tables."""
+    for s in skew_surfaces + one_line_surfaces:
+        expected = reference_pair_table(s["table"])
+        close_before_reading(s["table"])
+        assert s["table"].pair_third == expected
+        assert SpanTable(s["form"]).pair_third == expected
 
 
 def test_stock_presentations_count_the_sums_they_would_list(skew_surfaces, one_line_surfaces):

@@ -3,8 +3,11 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -184,6 +187,17 @@ def test_hs_document_keys(capsys):
         "h0_dim_mod2": 0,
         "h0_dim_mod3": 0,
     }
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    src = README.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubicspan", "hs", "--p", "13", "--json"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["points"] == 261
 
 
 def test_pic_quotient_mod2(capsys):

@@ -22,6 +22,7 @@ from cubicspan.projgeo import (
     skew,
 )
 from cubicspan.span import (
+    UNSOLVED,
     SpanTable,
     find_skew_pair,
     minimal_generators,
@@ -42,10 +43,12 @@ from cubicspan.surface import (
 
 from oracles import (
     asymptotic_lines,
+    close_before_reading,
     enumerate_lines,
     intersect_line,
     lines_in_plane_through,
     reference_closure,
+    reference_pair_table,
     reference_span_lemmas,
     table_read_verdicts,
     tangent_plane,
@@ -111,10 +114,11 @@ def test_pair_table_matches_intersection_cycles(fermat5_table):
     table = fermat5_table
     form = table.form
     n = len(table.points)
+    pairs = table.pair_third
     checked_secant = checked_contained = 0
     for i in range(n):
         for j in range(i + 1, n):
-            k = table.pair_third[i * n + j]
+            k = pairs[i * n + j]
             line = line_through(table.points[i], table.points[j])
             div = intersect_line(form, line)
             if k < 0:
@@ -138,9 +142,10 @@ def test_pair_table_cross_checked_in_characteristic_two(ext):
     table = SpanTable(form)
     n = len(table.points)
     assert n == (9 if ext is None else 33)
+    pairs = table.pair_third
     for i in range(n):
         for j in range(i + 1, n):
-            k = table.pair_third[i * n + j]
+            k = pairs[i * n + j]
             line = line_through(table.points[i], table.points[j])
             if k < 0:
                 assert intersect_line(form, line).contained
@@ -157,11 +162,12 @@ def test_tables_cross_checked_in_odd_characteristic_extension():
     pts = table.points
     n = len(pts)
     assert n == 100
+    pairs = table.pair_third
     contained = 0
     for i in range(n):
         for j in range(i + 1, n):
-            k = table.pair_third[i * n + j]
-            assert table.pair_third[j * n + i] == k
+            k = pairs[i * n + j]
+            assert pairs[j * n + i] == k
             line = line_through(pts[i], pts[j])
             if k < 0:
                 assert intersect_line(form, line).contained
@@ -218,6 +224,17 @@ def test_table_bytes_are_pinned(make_form, pair_digest, tangent_digest):
     table = SpanTable(make_form())
     assert hashlib.sha256(table.pair_third.tobytes()).hexdigest() == pair_digest
     assert hashlib.sha256(repr(table.tangent_thirds).encode()).hexdigest() == tangent_digest
+
+
+def test_span_checks_solve_at_most_a_quarter_of_the_pairs():
+    form = fermat_cubic(F13)
+    table = SpanTable(form)
+    verify_skew_singleton_span(form, table=table)
+    verify_span_lemmas(form, table=table)
+    hs_structure(form, table=table)
+    n = len(table.points)
+    off_diagonal = n * n - n
+    assert off_diagonal - _unsolved(table) <= off_diagonal // 4
 
 
 def test_tangent_thirds_match_pencil_cycles(fermat5_table):
@@ -380,6 +397,11 @@ def test_closure_matches_reference_on_singletons_and_everything(oracle_case):
     _assert_matches_reference(table, range(n))
 
 
+def _unsolved(table):
+    """The number of pair entries no solve has filled yet."""
+    return table._pairs.count(UNSOLVED)
+
+
 def _brute_force_spanning_lines(table):
     """Tangent entries plus the pairs i < j whose secant has a third point."""
     n = len(table.points)
@@ -401,6 +423,21 @@ def test_spanning_line_count_matches_brute_force(make_form):
     _, order, _, lines = table.closure(range(n))
     assert len(order) == n
     assert lines == expected == table.spanning_lines
+
+
+@pytest.mark.parametrize("make_form", [
+    lambda: fermat_cubic(F5),
+    lambda: fermat_cubic(F13),
+    lambda: random_smooth_surface(F7, 4),
+    lambda: CubicForm(F13, NO_LINE_F13),
+], ids=["fermat5", "fermat13", "one_line_f7_seed4", "no_line_f13"])
+def test_spanning_line_count_is_closed_form_on_an_unsolved_table(make_form):
+    table = SpanTable(make_form())
+    n = len(table.points)
+    _, order, _, lines = table.closure(range(n))
+    assert len(order) == n
+    assert _unsolved(table) == n * n - n  # no pair was solved
+    assert lines == table.spanning_lines == _brute_force_spanning_lines(table)
 
 
 class _UnreadablePairs:
@@ -746,3 +783,38 @@ def test_table_refuses_a_smooth_surface_too_large_for_the_budget_before_scanning
     monkeypatch.setattr(span, "zero_points", no_scan)
     with pytest.raises(BudgetExceeded, match="has at least"):
         SpanTable(fermat_cubic(make_extension(p, 1)))
+
+
+# every surface the tests above build a table on, but for those of the
+# acceptance stock, whose tables test_acceptance checks the same way
+STOCK = {
+    "fermat13", "f13_seed6", "f16_seed2", "f17_seed5", "f19_seed6", "f25_seed3",
+    "one_line_f7_seed4",
+}
+PAIR_SURFACES = {
+    **{
+        name: make
+        for name, make in {**TABLE_READ_SURFACES, **LEMMA_SURFACES}.items()
+        if name not in STOCK
+    },
+    "f64_split": surface_with_27_lines_over_f64,
+    "f64_split_over_f4": lambda: surface_with_27_lines_over_f64().embed(F4),
+    "one_line_f7": lambda: CubicForm(F7, ONE_LINE_F7),
+    "no_line_f13": lambda: CubicForm(F13, NO_LINE_F13),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SURFACES))
+def test_pair_table_matches_the_eager_fill(name):
+    """pair_third read on a fresh table, and on one whose closures solved
+    some pairs first, against every pair solved in row order."""
+    form = PAIR_SURFACES[name]()
+    fresh = SpanTable(form)
+    expected = reference_pair_table(fresh)
+    assert fresh.pair_third == expected
+    table = SpanTable(form)
+    close_before_reading(table)
+    n = len(table.points)
+    if form.field.q >= 13:
+        assert 0 < _unsolved(table) < n * n - n  # the fill starts part-way
+    assert table.pair_third == expected
