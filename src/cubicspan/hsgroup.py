@@ -15,12 +15,14 @@ hundred points by q = 13) but collapses: points sharing a contained line
 fall into one class, as do all tangent third points of a fixed point.
 The quotient by those identifications is exact, since each identification
 is itself a difference of two generating sums, so the classes are merged
-first and the group is computed in class space.  The sums are counted in
-closed form off the contained lines and the tangent thirds, and listed
-only when more than one class remains; with one class H0 = 0.  A listed
-sum is kept only as its image, the sorted triple of class columns it
-maps to, and the relation matrix has one row per distinct image after
-the first, so its size follows the class count, not the number of sums.
+first and the group is computed in class space.  The merge takes the
+tangent pencils in point order and stops once one class remains.  The
+sums are counted in closed form off the contained lines and the cone
+root counts, and listed only when more than one class remains; with one
+class H0 = 0.  A listed sum is kept only as its image, the sorted triple
+of class columns it maps to, and the relation matrix has one row per
+distinct image after the first, so its size follows the class count,
+not the number of sums.
 
 Generation of H0 by differences [P - P0] is read off a triangular
 lattice basis; Smith normal form is computed only for the canonical
@@ -41,7 +43,7 @@ from .errors import (
     PointNotOnSurface,
 )
 from .projgeo import Line3, ProjPoint
-from .span import SpanTable, _ternary_by_thirds, minimal_generators
+from .span import SpanTable, _ternary_by_cone, minimal_generators
 from .surface import CubicForm
 
 
@@ -189,12 +191,16 @@ class _UnionFind:
             x = p[x]
         return x
 
-    def union(self, x: int, y: int) -> None:
+    def union(self, x: int, y: int) -> bool:
+        """Merge the classes of x and y under the smaller root, so a root is
+        always its class's least index; return whether they were apart."""
         rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
+        if rx == ry:
+            return False
+        if ry < rx:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        return True
 
 
 @dataclass(frozen=True)
@@ -259,15 +265,19 @@ class GroupStructure:
 class ZPresentation:
     """H as an explicit quotient, with SNF data for canonical cosets.
 
-    Points are merged into classes first (points of a contained line, and
-    the tangent third points of each point).  sum_count, the number of
-    distinct generating sums, is counted in closed form (_count_sums).
-    When more than one class remains, one pass over the generating sums
-    records the sorted triple of class columns each one maps to; the
-    relation matrix is built from those class-space images, reduced to a
-    triangular lattice basis, and put in Smith normal form with invertible
-    transforms.  With one class the matrix is empty and no sum is listed.
-    The contained lines and the tangent thirds are read off the table.
+    Points are merged into classes first: the points of each contained
+    line, then the tangent third points of each point, in point order,
+    until one class remains.  A root is always its class's least point,
+    so the stop leaves rep as the full merge makes it, and a surface whose
+    lines already make one class takes no pencil.  sum_count, the number
+    of distinct generating sums, is counted in closed form (_count_sums)
+    off the lines and the cone root counts.  When more than one class
+    remains, one pass over the generating sums records the sorted triple
+    of class columns each one maps to; the relation matrix is built from
+    those class-space images, reduced to a triangular lattice basis, and
+    put in Smith normal form with invertible transforms.  With one class
+    the matrix is empty and no sum is listed.  The lines, the pencils and
+    the cone root counts are read off the table.
     """
 
     def __init__(self, form: CubicForm, table: Optional[SpanTable] = None):
@@ -282,16 +292,21 @@ class ZPresentation:
         self._line_indices = [sorted(idx) for idx in table.line_indices]
 
         uf = _UnionFind(n)
+        classes = n
         for idx in self._line_indices:
             for x in idx[1:]:
-                uf.union(idx[0], x)
-        for thirds in table.tangent_thirds:
+                classes -= uf.union(idx[0], x)
+        for i in range(n):
+            if classes == 1:  # later pencils merge nothing more
+                break
+            thirds = table.thirds_at(i)
             for k in thirds[1:]:
-                uf.union(thirds[0], k)
+                classes -= uf.union(thirds[0], k)
         self.rep = [uf.find(i) for i in range(n)]
-        # the points P with 3P a generating sum: asymptotic or on a line
+        # the points P with 3P a generating sum: asymptotic (a cone zero
+        # off the contained lines) or on a contained line
         self._tripled = sorted({x for idx in self._line_indices for x in idx}.union(
-            i for i, t in enumerate(table.tangent_thirds) if i in t))
+            i for i in range(n) if table.cone_roots(i)))
         self.class_reps = sorted(set(self.rep))
         self.column = {r: c for c, r in enumerate(self.class_reps)}
         r = len(self.class_reps)
@@ -322,9 +337,14 @@ class ZPresentation:
         through three distinct points, which takes three pairs and gives
         one sum.  Distinct lines share no pair.  3P adds one sum per
         point that is asymptotic or lies on a contained line.
+
+        The entries Q != P at P are the pencil lines on which the tangent
+        cone does not vanish, q + 1 - z_P of them (SpanTable.cone_roots);
+        a contained pencil line is a cone zero, so none of them is one.
         """
-        thirds = self.table.tangent_thirds
-        tangent = sum(len(t) - t.count(i) for i, t in enumerate(thirds))
+        table = self.table
+        pencil_lines = (table.form.field.q + 1) * len(self.points)
+        tangent = pencil_lines - sum(map(table.cone_roots, range(len(self.points))))
         sizes = [len(idx) for idx in self._line_indices]
         secant_pairs = comb(len(self.points), 2) - sum(comb(m, 2) for m in sizes) - tangent
         if secant_pairs % 3:
@@ -495,7 +515,7 @@ def ternary_bound_check(
     """Check r >= dim H0/pH0 for p in {2, 3} and the generation claim.
 
     The base point is the first ternary point in scan order, read off the
-    tangent thirds (span._ternary_by_thirds).  The bound is
+    tangent cone root counts (span._ternary_by_cone).  The bound is
     compared against the exhaustive minimal generator count when that
     search fits its budget; the generation claim is checked for the
     spanning witness (every class [P - P0], P in B, together generating
@@ -504,7 +524,7 @@ def ternary_bound_check(
     if presentation is None:
         presentation = ZPresentation(form, table=table)
     table = presentation.table
-    base = next((i for i in range(len(table.points)) if _ternary_by_thirds(table, i)), None)
+    base = next((i for i in range(len(table.points)) if _ternary_by_cone(table, i)), None)
     if base is None:
         raise NoTernaryPoint("no ternary point on the surface")
     base_point = table.points[base]

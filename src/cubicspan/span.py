@@ -16,22 +16,21 @@ closure runs are then pure index pushing.
 The preprocessing runs on the field's flat add/mul/neg tables
 (ExtField.flat_tables) and refuses a field above their limit, so the
 point scan and the restrictions under it take surface.py's flat path
-too.  Pairs are solved on demand, since a span check reads few of them:
-an entry starts at UNSOLVED (-2), a closure solves it when it reads it,
-and the first read of SpanTable.pair_third solves every entry left
-(assigning pair_third installs a filled table).  A secant that meets the
+too.  Building a table takes the gradients, certifies smoothness and
+scans the lines; the rest is computed where it is read, since a span
+check reads few pairs and few pencils.  A pair entry starts at UNSOLVED
+(-2) and a closure solves it when it reads it.  A secant that meets the
 surface in three distinct points is solved once, from whichever of its
 pairs comes first, and fills all three pair entries, so the table does
-not depend on the order of the solves.  spanning_lines is counted in
-closed form from the tangent entries and the lines, with no pair read.
-The tangent pencil at a point P is one line of second points e0 + t*e1
-(then e1): surface.tangent_pencil restricts F and the polar quadric
-sum_m P_m dF/dx_m to it once each, and each pencil line reads its two
-coefficients off those polynomials by Horner's rule in t.  The table is
-the one object per surface: it also holds the rational lines, scanned
-once, with their point indices.  Eckardt and ternary points are read off
-the tangent thirds (_eckardt_by_thirds, _ternary_by_thirds), skew pairs
-off the lines' point sets.
+not depend on the order of the solves.  A point's tangent pencil is
+taken at its first closure turn or union-find step, and its cone root
+count z_P (the rational zeros of the tangent cone on the pencil) at its
+first Eckardt, ternary or sum-count read.  The first read of pair_third
+or tangent_thirds fills the rest.  The table is the one object per
+surface: it also holds the rational lines, scanned once, with their
+point indices.  Eckardt and ternary points are read off z_P
+(_eckardt_by_cone, _ternary_by_cone), skew pairs off the lines' point
+sets, and spanning_lines is counted in closed form from q and the lines.
 
 spn is a closure operator: Q in spn(B) gives spn(Q) in spn(B).  So once
 spn(Q) = S(F_q) is known, every closure that reaches Q spans the surface
@@ -59,11 +58,11 @@ from .errors import (
 from .projgeo import Line3, ProjPoint, skew
 from .surface import (
     CubicForm,
+    _cubic_zeros,
     _smooth_gradient,
-    is_eckardt,
+    _tangent_cone,
     is_smooth,
     lines_on_surface,
-    tangent_pencil,
     zero_points,
 )
 
@@ -108,16 +107,21 @@ class SpanTable:
     lines at point i, in the order of the pencil from
     surface.tangent_pencil: the line through e0 + t*e1 for each field code
     t, then the line through e1 (e0 and e1 read off the gradient at i); an
-    entry equal to i itself records an asymptotic line.
+    entry equal to i itself records an asymptotic line.  A pencil is taken
+    on demand, at most once per point (thirds_at); the first read of
+    tangent_thirds takes every pencil left and returns the list the eager
+    pass builds, and assigning it installs a filled table.  cone_roots(i)
+    is z_P, the number of pencil lines on which the tangent cone vanishes.
 
     lines come from one surface.lines_on_surface scan; line_indices[m]
     holds the indices of the points of lines[m], in Line3.points() order.
     spanning_lines is the number of lines a closure that reaches every
     point examines, set by the first such closure (see closure).  It is
-    the tangent entries plus the pairs off the contained lines,
-    sum len(tangent_thirds[i]) + C(N, 2) - sum_L C(m_L, 2) over the lines
-    L of m_L points, as a contained secant is rational and two lines share
-    no pair; so it needs no pair solved.
+    the pencil lines and the pairs off the contained lines,
+    N(q + 1) - sum_L m_L + C(N, 2) - sum_L C(m_L, 2) over the lines L of
+    m_L points: a contained line through a point is a rational line of its
+    pencil, a contained secant is rational, and two lines share no pair.
+    So it needs no pair solved and no pencil taken.
 
     A field above the flat-table limit raises BudgetExceeded before any
     point is scanned, and so does a smooth surface over a field with
@@ -128,8 +132,9 @@ class SpanTable:
     so, after the gradients, does a surface that is_smooth finds singular.
     """
 
-    __slots__ = ("form", "points", "index", "lines", "line_indices", "tangent_thirds",
-                 "spanning_lines", "_pairs", "_filled", "_solve")
+    __slots__ = ("form", "points", "index", "lines", "line_indices", "spanning_lines",
+                 "_pairs", "_filled", "_solve", "_lookup", "_grads", "_cones", "_roots",
+                 "_thirds", "_thirds_filled")
 
     def __init__(self, form: CubicForm):
         f = form.field
@@ -201,43 +206,102 @@ class SpanTable:
         self._pairs = table
         self._filled = False
         self._solve = solve
-
-        tangents = []
-        for i in range(n):
-            u = coords[i]
-            u0, u1, u2, u3 = u
-            # F and sum_m u_m dF/dx_m along e0 + t*e1, ascending in t
-            e0, e1, (a0, a1, a2, a3), (d0, d1, d2) = tangent_pencil(form, u, grads[i])
-            f0, f1, f2, f3 = e0
-            x0, x1, x2, x3 = (c * q for c in e1)
-            thirds = []
-            for t in range(q + 1):
-                if t < q:
-                    h = add[mul[a3 * q + t] * q + a2]
-                    h = add[mul[h * q + t] * q + a1]
-                    c3 = add[mul[h * q + t] * q + a0]
-                    h = add[mul[d2 * q + t] * q + d1]
-                    c2 = add[mul[h * q + t] * q + d0]
-                    w0 = add[f0 * q + mul[x0 + t]]
-                    w1 = add[f1 * q + mul[x1 + t]]
-                    w2 = add[f2 * q + mul[x2 + t]]
-                    w3 = add[f3 * q + mul[x3 + t]]
-                else:  # the line through e1 takes the leading coefficients
-                    c3, c2 = a3, d2
-                    w0, w1, w2, w3 = e1
-                if c2 == 0 and c3 == 0:
-                    continue  # pencil line inside the surface
-                a = c3 * q
-                b = neg[c2] * q
-                thirds.append(lookup(
-                    add[mul[a + u0] * q + mul[b + w0]],
-                    add[mul[a + u1] * q + mul[b + w1]],
-                    add[mul[a + u2] * q + mul[b + w2]],
-                    add[mul[a + u3] * q + mul[b + w3]],
-                ))
-            tangents.append(tuple(thirds))
-        self.tangent_thirds = tangents
+        self._lookup = lookup
+        self._grads = grads
+        self._cones: list = [None] * n
+        self._roots = array("i", [-1]) * n
+        self._thirds: list = [None] * n
+        self._thirds_filled = False
         self.spanning_lines: Optional[int] = None
+
+    def _cone(self, i: int):
+        """(e0, e1, cone) of surface._tangent_cone at point i, cached."""
+        cone = self._cones[i]
+        if cone is None:
+            cone = self._cones[i] = _tangent_cone(self.form, self.points[i].coords, self._grads[i])
+        return cone
+
+    def cone_roots(self, i: int) -> int:
+        """z_P at point i: the number of pencil lines on which the tangent
+        cone vanishes, q + 1 when it vanishes identically.  The affine
+        zeros of d0 + d1*t + d2*t^2 come from surface._cubic_zeros, and the
+        line through e1 is a zero when d2 = 0; a taken pencil sets it."""
+        z = self._roots[i]
+        if z < 0:
+            d0, d1, d2 = self._cone(i)[2]
+            z = self._roots[i] = len(_cubic_zeros(self.form.field, d0, d1, d2, 0)) + (d2 == 0)
+        return z
+
+    def _pencil(self, i: int) -> tuple[int, ...]:
+        """Take the tangent pencil at point i: store its thirds and return them.
+
+        The pencil is the line of second points e0 + t*e1 (then e1) of the
+        cached cone.  F is restricted to that line once, and each pencil
+        line reads its two coefficients off the cubic and the cone by
+        Horner's rule in t.
+        """
+        form = self.form
+        f = form.field
+        add, mul, neg = f.flat_tables()
+        q = f.q
+        lookup = self._lookup
+        u0, u1, u2, u3 = self.points[i].coords
+        e0, e1, (d0, d1, d2) = self._cone(i)
+        # F and sum_m u_m dF/dx_m along e0 + t*e1, ascending in t
+        a0, a1, a2, a3 = form.restrict_to_line(e0, e1)
+        f0, f1, f2, f3 = e0
+        x0, x1, x2, x3 = (c * q for c in e1)
+        thirds = []
+        for t in range(q + 1):
+            if t < q:
+                h = add[mul[a3 * q + t] * q + a2]
+                h = add[mul[h * q + t] * q + a1]
+                c3 = add[mul[h * q + t] * q + a0]
+                h = add[mul[d2 * q + t] * q + d1]
+                c2 = add[mul[h * q + t] * q + d0]
+                w0 = add[f0 * q + mul[x0 + t]]
+                w1 = add[f1 * q + mul[x1 + t]]
+                w2 = add[f2 * q + mul[x2 + t]]
+                w3 = add[f3 * q + mul[x3 + t]]
+            else:  # the line through e1 takes the leading coefficients
+                c3, c2 = a3, d2
+                w0, w1, w2, w3 = e1
+            if c2 == 0 and c3 == 0:
+                continue  # pencil line inside the surface
+            a = c3 * q
+            b = neg[c2] * q
+            thirds.append(lookup(
+                add[mul[a + u0] * q + mul[b + w0]],
+                add[mul[a + u1] * q + mul[b + w1]],
+                add[mul[a + u2] * q + mul[b + w2]],
+                add[mul[a + u3] * q + mul[b + w3]],
+            ))
+        thirds = self._thirds[i] = tuple(thirds)
+        # the cone is not needed again: z_P counts the entries equal to i
+        # and the contained lines, the lines with no entry
+        self._roots[i] = q + 1 - len(thirds) + thirds.count(i)
+        self._cones[i] = None
+        return thirds
+
+    def thirds_at(self, i: int) -> tuple[int, ...]:
+        """tangent_thirds[i], taking the pencil at i on the first ask."""
+        thirds = self._thirds[i]
+        return self._pencil(i) if thirds is None else thirds
+
+    @property
+    def tangent_thirds(self) -> list[tuple[int, ...]]:
+        """The full tangent table; the first read takes every pencil left."""
+        if not self._thirds_filled:
+            for i, thirds in enumerate(self._thirds):
+                if thirds is None:
+                    self._pencil(i)
+            self._thirds_filled = True
+        return self._thirds
+
+    @tangent_thirds.setter
+    def tangent_thirds(self, thirds) -> None:
+        self._thirds = thirds
+        self._thirds_filled = True
 
     @property
     def pair_third(self) -> array:
@@ -277,7 +341,7 @@ class SpanTable:
         counts, lines examined).  Each unordered pair of members is examined
         exactly once, at the turn of whichever point entered later, and each
         member's tangent lines once.  A pair read while UNSOLVED is solved
-        then.
+        then, and a member's pencil is taken at its first turn.
 
         The run stops at the first turn at which every point is a member,
         with the statistics of the full run: later turns add nothing, and a
@@ -298,7 +362,7 @@ class SpanTable:
         n = len(self.points)
         table = self._pairs
         solve = self._solve
-        tangents = self.tangent_thirds
+        thirds_at = self.thirds_at
         flags = bytes(n) if spanning is None else spanning
         members = bytearray(n)
         order: list[int] = []
@@ -322,13 +386,14 @@ class SpanTable:
                     if added:
                         rounds.append(added)
                     if len(order) == n:
-                        if self.spanning_lines is None:  # every pair off a contained line
-                            self.spanning_lines = sum(map(len, tangents)) + comb(n, 2) - sum(
-                                comb(len(idx), 2) for idx in self.line_indices)
+                        if self.spanning_lines is None:
+                            sizes = [len(idx) for idx in self.line_indices]
+                            self.spanning_lines = n * (self.form.field.q + 1) - sum(sizes) + comb(
+                                n, 2) - sum(comb(m, 2) for m in sizes)
                         lines = self.spanning_lines
                     return members, order, tuple(rounds), lines
                 base = i * n
-                for k in tangents[i]:
+                for k in thirds_at(i):
                     lines += 1
                     if not members[k]:
                         members[k] = 1
@@ -405,26 +470,17 @@ def span_closure(
     return SpanState(pts, len(rounds) - 1, rounds, lines, len(table.points))
 
 
-def _eckardt_by_thirds(table: SpanTable, i: int) -> bool:
-    """Whether point i is an Eckardt point, read off tangent_thirds[i].
-
-    A pencil line's third point is i exactly when the polar quadric (the
-    cone) vanishes on it.  One entry other than i shows the cone is not
-    zero; three entries equal to i make the cone, a binary quadratic,
-    vanish identically, which is surface.is_eckardt's test.  Fewer entries
-    (q <= 4 with lines through i, or a table that lost entries) ask it.
-    """
-    thirds = table.tangent_thirds[i]
-    return all(k == i for k in thirds) and (
-        len(thirds) >= 3 or is_eckardt(table.form, table.points[i]))
+def _eckardt_by_cone(table: SpanTable, i: int) -> bool:
+    """Whether point i is an Eckardt point: its tangent cone vanishes on
+    all q + 1 pencil lines, so identically (a nonzero binary quadratic has
+    at most two zeros).  This is surface.is_eckardt's test."""
+    return table.cone_roots(i) == table.form.field.q + 1
 
 
-def _ternary_by_thirds(table: SpanTable, i: int) -> bool:
-    """Whether point i is ternary, read off tangent_thirds[i]: the cone has
-    a rational zero on the q + 1 pencil lines.  A zero gives a third point
-    i or a contained line, which the table skips; a nonzero, another point."""
-    thirds = table.tangent_thirds[i]
-    return i in thirds or len(thirds) <= table.form.field.q
+def _ternary_by_cone(table: SpanTable, i: int) -> bool:
+    """Whether point i is ternary: its tangent cone has a rational zero on
+    the pencil."""
+    return table.cone_roots(i) > 0
 
 
 def _closure_unless_spanning(
@@ -490,7 +546,7 @@ def verify_skew_singleton_span(
             if i in seen:
                 continue
             seen.add(i)
-            if _eckardt_by_thirds(table, i):
+            if _eckardt_by_cone(table, i):
                 skipped += 1
                 continue
             checked += 1
@@ -573,7 +629,7 @@ def verify_span_lemmas(form: CubicForm, table: Optional[SpanTable] = None) -> Sp
     checked_a = 0
     for line, targets in zip(lines, indices):
         for i in sorted(targets):
-            if _eckardt_by_thirds(table, i):
+            if _eckardt_by_cone(table, i):
                 continue
             checked_a += 1
             if not spans((i,), targets):

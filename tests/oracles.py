@@ -128,8 +128,8 @@ from cubicspan.reduction import (
 from cubicspan.span import (
     SpanLemmaReport,
     SpanTable,
-    _eckardt_by_thirds,
-    _ternary_by_thirds,
+    _eckardt_by_cone,
+    _ternary_by_cone,
     span_closure,
     verify_skew_singleton_span,
 )
@@ -146,6 +146,7 @@ from cubicspan.surface import (
     classify_point,
     is_eckardt,
     lines_on_surface,
+    tangent_pencil,
     zero_points,
 )
 
@@ -986,7 +987,7 @@ def table_read_verdicts(form: CubicForm, table: SpanTable, lines: list[Line3]):
 
     The table's lines against the given scan and its line_indices against
     Line3.points(), ZPresentation.sum_count against the listed sums,
-    span._eckardt_by_thirds against is_eckardt and span._ternary_by_thirds
+    span._eckardt_by_cone against is_eckardt and span._ternary_by_cone
     against classify_point at every point, and SpanTable.skew_pairs
     against projgeo.skew on every line pair.  Returns the class count, the
     set of Eckardt verdicts met and a Counter of the skew verdicts.
@@ -998,10 +999,10 @@ def table_read_verdicts(form: CubicForm, table: SpanTable, lines: list[Line3]):
     assert pres.sum_count == sum(1 for _ in pres._generating_sums())
     eckardt = set()
     for i, p in enumerate(table.points):
-        got = _eckardt_by_thirds(table, i)
+        got = _eckardt_by_cone(table, i)
         assert got == is_eckardt(form, p), p
         eckardt.add(got)
-        assert _ternary_by_thirds(table, i) == classify_point(form, p).ternary, p
+        assert _ternary_by_cone(table, i) == classify_point(form, p).ternary, p
     disjoint = set(table.skew_pairs())
     skews: Counter[bool] = Counter()
     for (a, la), (b, lb) in combinations(enumerate(lines), 2):
@@ -1029,21 +1030,12 @@ def verify_presentation(pres: ZPresentation) -> None:
         raise AssertionError("V inverse mismatch")
 
 
-def reference_pair_table(table: SpanTable) -> array:
-    """The pair table of table's surface, every pair solved in one pass.
-
-    Pairs are taken in row order, i < j; a secant through three distinct
-    points is solved at its first pair and fills all three pair entries.
-    Entries of the diagonal and of contained secants are -1.
-    """
-    form = table.form
-    f = form.field
-    add, mul, neg = f.flat_tables()
+def _point_lookup(table: SpanTable):
+    """The index of a nonzero vector's point, read off the flat tables."""
+    f = table.form.field
+    mul = f.flat_tables()[1]
     q = f.q
     index = table.index
-    coords = [p.coords for p in table.points]
-    n = len(coords)
-    grad_rows = [tuple(g * q for g in _smooth_gradient(form, c)) for c in coords]
     inv_row = [0] + [f.inv(a) * q for a in range(1, q)]
 
     def lookup(w0, w1, w2, w3):
@@ -1057,6 +1049,24 @@ def reference_pair_table(table: SpanTable) -> array:
             return index[(0, 0, 1, mul[inv_row[w2] + w3])]
         return index[(0, 0, 0, 1)]
 
+    return lookup
+
+
+def reference_pair_table(table: SpanTable) -> array:
+    """The pair table of table's surface, every pair solved in one pass.
+
+    Pairs are taken in row order, i < j; a secant through three distinct
+    points is solved at its first pair and fills all three pair entries.
+    Entries of the diagonal and of contained secants are -1.
+    """
+    form = table.form
+    f = form.field
+    add, mul, neg = f.flat_tables()
+    q = f.q
+    coords = [p.coords for p in table.points]
+    n = len(coords)
+    grad_rows = [tuple(g * q for g in _smooth_gradient(form, c)) for c in coords]
+    lookup = _point_lookup(table)
     pairs = array("i", [-1]) * (n * n)
     for i in range(n):
         u0, u1, u2, u3 = coords[i]
@@ -1084,6 +1094,56 @@ def reference_pair_table(table: SpanTable) -> array:
                 pairs[i * n + k] = pairs[k * n + i] = j
                 pairs[j * n + k] = pairs[k * n + j] = i
     return pairs
+
+
+def reference_tangent_thirds(table: SpanTable) -> list[tuple[int, ...]]:
+    """The tangent table of table's surface, every pencil taken in one pass.
+
+    At each point u the pencil is surface.tangent_pencil's line of second
+    points e0 + t*e1 for each field code t, then e1.  A pencil line on
+    which the cubic and the cone both vanish lies inside the surface and
+    gives no entry; any other meets the surface again at
+    cubic(w)*u - cone(w)*w, which is u itself on an asymptotic line.
+    """
+    form = table.form
+    f = form.field
+    add, mul, neg = f.flat_tables()
+    q = f.q
+    lookup = _point_lookup(table)
+    tangents = []
+    for p in table.points:
+        u = p.coords
+        u0, u1, u2, u3 = u
+        e0, e1, (a0, a1, a2, a3), (d0, d1, d2) = tangent_pencil(form, u, _smooth_gradient(form, u))
+        f0, f1, f2, f3 = e0
+        x0, x1, x2, x3 = (c * q for c in e1)
+        thirds = []
+        for t in range(q + 1):
+            if t < q:
+                h = add[mul[a3 * q + t] * q + a2]
+                h = add[mul[h * q + t] * q + a1]
+                c3 = add[mul[h * q + t] * q + a0]
+                h = add[mul[d2 * q + t] * q + d1]
+                c2 = add[mul[h * q + t] * q + d0]
+                w0 = add[f0 * q + mul[x0 + t]]
+                w1 = add[f1 * q + mul[x1 + t]]
+                w2 = add[f2 * q + mul[x2 + t]]
+                w3 = add[f3 * q + mul[x3 + t]]
+            else:
+                c3, c2 = a3, d2
+                w0, w1, w2, w3 = e1
+            if c2 == 0 and c3 == 0:
+                continue  # pencil line inside the surface
+            a = c3 * q
+            b = neg[c2] * q
+            thirds.append(lookup(
+                add[mul[a + u0] * q + mul[b + w0]],
+                add[mul[a + u1] * q + mul[b + w1]],
+                add[mul[a + u2] * q + mul[b + w2]],
+                add[mul[a + u3] * q + mul[b + w3]],
+            ))
+        tangents.append(tuple(thirds))
+    return tangents
 
 
 def close_before_reading(table: SpanTable) -> None:

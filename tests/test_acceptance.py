@@ -47,7 +47,12 @@ from cubicspan.surface import (
     surface_with_27_lines_over_f64,
 )
 
-from oracles import close_before_reading, reference_pair_table, table_read_verdicts
+from oracles import (
+    close_before_reading,
+    reference_pair_table,
+    reference_tangent_thirds,
+    table_read_verdicts,
+)
 
 # Seeds drawn through random_smooth_surface until the sampled surface has
 # a rational skew line pair (left column) or exactly one rational line
@@ -201,6 +206,16 @@ def test_stock_pair_tables_match_the_eager_fill(skew_surfaces, one_line_surfaces
         close_before_reading(s["table"])
         assert s["table"].pair_third == expected
         assert SpanTable(s["form"]).pair_third == expected
+
+
+def test_stock_tangent_tables_match_the_eager_pass(skew_surfaces, one_line_surfaces):
+    """On the criterion-3 and criterion-4 stock, tangent_thirds equals every
+    pencil taken in point order: read on the fixture's tables, whose skew
+    check and presentation took some pencils first, and on fresh tables."""
+    for s in skew_surfaces + one_line_surfaces:
+        expected = reference_tangent_thirds(s["table"])
+        assert s["table"].tangent_thirds == expected
+        assert SpanTable(s["form"]).tangent_thirds == expected
 
 
 def test_stock_presentations_count_the_sums_they_would_list(skew_surfaces, one_line_surfaces):

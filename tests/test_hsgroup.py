@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from oracles import (
     hs_free_rank,
     mat_mul,
     point_level_presentation,
+    reference_tangent_thirds,
     smith_difference_classes_generate,
     verify_presentation,
 )
@@ -476,3 +478,55 @@ def test_one_class_lists_no_sum(monkeypatch, name, relations):
     assert (s.classes, s.relations, s.h0_trivial) == (1, relations, True)
     report = ternary_bound_check(form)
     assert report.r == 1 and report.bound_consistent and report.generates_h0
+
+
+#: GF(2) to GF(25)
+CLOSED_FORM_FIELDS = [
+    make_extension(p, k)
+    for p, k in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+                 (13, 1), (2, 4), (17, 1), (19, 1), (23, 1), (5, 2)]
+]
+
+
+def test_closed_forms_match_the_eager_tangent_table():
+    """The counts read off the cone root counts and the lines, against the
+    same counts taken from every pencil: the tangent entries Q != P at each
+    point (their sum is T of ZPresentation._count_sums), the points P with
+    3P a generating sum, and the tangent half of SpanTable.spanning_lines.
+    Sampler seeds 0-3 and the Fermat form (smooth for p != 3) over every
+    field from GF(2) to GF(25)."""
+    for f in CLOSED_FORM_FIELDS:
+        forms = [random_smooth_surface(f, seed) for seed in range(4)]
+        if f.p != 3:
+            forms.append(fermat_cubic(f))
+        for form in forms:
+            table = SpanTable(form)
+            n = len(table.points)
+            expected = reference_tangent_thirds(table)
+            pres = ZPresentation(form, table=table)
+            q = f.q
+            for i, thirds in enumerate(expected):
+                assert q + 1 - table.cone_roots(i) == len(thirds) - thirds.count(i)
+            on_lines = {x for idx in table.line_indices for x in idx}
+            assert pres._tripled == sorted(
+                on_lines.union(i for i, t in enumerate(expected) if i in t))
+            table.closure(range(n))  # spans at once and sets spanning_lines
+            pair_half = comb(n, 2) - sum(comb(len(idx), 2) for idx in table.line_indices)
+            assert table.spanning_lines - pair_half == sum(map(len, expected))
+
+
+@pytest.mark.parametrize("name, make_form", [
+    ("fermat-13", lambda: fermat_cubic(F13)),
+    ("gf13-seed6", lambda: random_smooth_surface(F13, 6)),
+])
+def test_presentation_takes_at_most_half_the_pencils(name, make_form):
+    """The union-find takes pencils in point order and stops at one class:
+    Fermat GF(13) is one class from its 27 lines alone, and the GF(13) draw
+    with two lines needs the pencils of a prefix of its points."""
+    table = SpanTable(make_form())
+    pres = ZPresentation(table.form, table=table)
+    n = len(table.points)
+    taken = [i for i, t in enumerate(table._thirds) if t is not None]
+    assert len(pres.class_reps) == 1
+    assert 2 * len(taken) <= n
+    assert taken == list(range(len(taken)))

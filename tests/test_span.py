@@ -50,6 +50,7 @@ from oracles import (
     reference_closure,
     reference_pair_table,
     reference_span_lemmas,
+    reference_tangent_thirds,
     table_read_verdicts,
     tangent_plane,
 )
@@ -818,3 +819,38 @@ def test_pair_table_matches_the_eager_fill(name):
     if form.field.q >= 13:
         assert 0 < _unsolved(table) < n * n - n  # the fill starts part-way
     assert table.pair_third == expected
+
+
+def _pencils_taken(table):
+    """The number of points whose tangent pencil has been taken."""
+    return sum(t is not None for t in table._thirds)
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SURFACES))
+def test_tangent_table_matches_the_eager_pass(name):
+    """tangent_thirds read on a fresh table, and on one whose closures and
+    presentation took some pencils first, against every pencil taken in
+    point order."""
+    form = PAIR_SURFACES[name]()
+    fresh = SpanTable(form)
+    expected = reference_tangent_thirds(fresh)
+    assert fresh.tangent_thirds == expected
+    table = SpanTable(form)
+    close_before_reading(table)
+    hs_structure(form, table=table)
+    n = len(table.points)
+    if form.field.q >= 13:
+        assert 0 < _pencils_taken(table) < n  # the fill starts part-way
+    assert table.tangent_thirds == expected
+
+
+def test_building_a_table_takes_no_pencil_and_solves_no_pair(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tangent cone or pencil taken")
+
+    monkeypatch.setattr(span, "_tangent_cone", refuse)
+    monkeypatch.setattr(SpanTable, "_pencil", refuse)
+    table = SpanTable(fermat_cubic(F13))
+    n = len(table.points)
+    assert _unsolved(table) == n * n - n
+    assert _pencils_taken(table) == 0
