@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("rank-bound", help="rank of the reduction image")
     sub.add_argument("--family", required=True)
-    sub.add_argument("--primes", required=True, help="comma-separated primes")
+    sub.add_argument("--primes", required=True, help="comma-separated distinct primes")
     sub.add_argument("--height", type=int, default=100)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_rank_bound)

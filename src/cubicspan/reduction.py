@@ -22,11 +22,13 @@ integer 4-tuples and p-adic valuations are taken on integers.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import gcd, isqrt, prod
 from typing import Iterable, Optional, Sequence
 
@@ -525,6 +527,23 @@ def verify_line_relation(param: GoodLineParam, family: str, m: int, p: int) -> L
     )
 
 
+def _surface_points(
+    family: str, m: int, coords: Sequence[tuple[int, int, int, int]]
+) -> list[SurfacePoint]:
+    """SurfacePoint(family, m, c) for each c, with no Python frame per point.
+
+    The dataclass's __init__ writes the three slots through
+    object.__setattr__, that is through the slot descriptors; here the
+    same descriptors fill every point under map.
+    """
+    n = len(coords)
+    pts = list(map(object.__new__, repeat(SurfacePoint, n)))
+    deque(map(SurfacePoint.family.__set__, pts, repeat(family, n)), maxlen=0)
+    deque(map(SurfacePoint.m.__set__, pts, repeat(m, n)), maxlen=0)
+    deque(map(SurfacePoint.coords.__set__, pts, coords), maxlen=0)
+    return pts
+
+
 def point_search(family: str, m: int, height: int) -> list[SurfacePoint]:
     """All primitive points with coordinates bounded by the height.
 
@@ -544,76 +563,93 @@ def point_search(family: str, m: int, height: int) -> list[SurfacePoint]:
     gcd(a, w) = 1, and the search skips it.  Output is projectively
     deduplicated and lexicographically sorted.  M = 0 gives the cone
     x^3 + y^3 + z^3 = 0 and raises ``HypothesisFailed``.
+
+    The output is built in two steps: the sorted coordinate tuples first,
+    the contained line's runs spliced in where they sort, then every point
+    at once by ``_surface_points``.  The cyclic garbage collector is
+    paused for the whole call, because otherwise its full passes traverse
+    the growing table and output again and again.  The pause is safe:
+    everything the call allocates (ints, tuples, row lists, sets and
+    slotted points) holds no reference cycle, so reference counting frees
+    it all and peak memory is unchanged.  On return or raise the collector
+    is re-enabled only if it was enabled on entry, so a caller's own pause
+    stays in force.
     """
-    family = family_tag(family)
-    if m == 0:
-        raise HypothesisFailed("M = 0 gives the singular cone x^3 + y^3 + z^3 = 0")
-    if height < 1:
-        raise ValueError("height must be positive")
-    if height > MAX_SEARCH_HEIGHT:
-        raise BudgetExceeded(
-            f"height {height} exceeds the search cap {MAX_SEARCH_HEIGHT}"
-        )
-    h = height
-    vals = list(range(-h, h + 1))
-    cubes = [v ** 3 for v in vals]
-    # rows[i] holds x^3 + y^3 for x = i - h and every y >= x
-    rows = [[cx + cy for cy in cubes[i:]] for i, cx in enumerate(cubes)]
-    sums = set().union(*rows)
-    is_s = family == FAMILY_S
-    if is_s:
-        # z > 0, and w >= 0 with each hit standing for both signs of w
-        first_z, ws = h + 1, vals[h:]
-        terms = [w * w for w in ws]
-    else:
-        first_z, ws, terms = h, vals, cubes
-    wanted: dict[int, list[tuple[int, int]]] = {}
-    for z, cz in zip(vals[first_z:], cubes[first_z:]):
-        scale = m * z if is_s else m
-        need = [-cz - scale * t for t in terms]
-        hit = sums.intersection(need)
-        if hit:
-            for w, k in zip(ws, need):
-                if k in hit:
-                    pairs = wanted.setdefault(k, [])
-                    pairs.append((z, w))
-                    if is_s and w:
-                        pairs.append((z, -w))
-    root = dict(zip(cubes, vals))
-    seen = set()
-    for x, cx, row in zip(vals, cubes, rows):
-        for k in wanted.keys() & row:
-            y = root[k - cx]
-            for z, w in wanted[k]:
-                for c in ((x, y, z, w), (y, x, z, w)):
-                    if not any(c):
-                        continue
-                    g = gcd(gcd(c[0], c[1]), gcd(c[2], c[3]))
-                    if g != 1:
-                        continue
-                    if next(v for v in c if v) < 0:
-                        c = tuple(-v for v in c)
-                    seen.add(c)
-    del rows, sums
-    found = sorted(seen)
-    if not is_s:
-        return [SurfacePoint(family, m, c) for c in found]
-    # The line points with prefix (a, -a, 0) form one contiguous run of
-    # the sorted output; splice each run in where it sorts.  One w list
-    # and one -a per run let the line's points share their ints.
-    out = []
-    start = 0
-    for a in range(h + 1):
-        na = -a
-        cut = bisect_left(found, (a, na, 0), start)
-        out.extend([SurfacePoint(family, m, c) for c in found[start:cut]])
-        start = cut
-        if a == 0:
-            out.append(SurfacePoint(family, m, (0, 0, 0, 1)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        family = family_tag(family)
+        if m == 0:
+            raise HypothesisFailed("M = 0 gives the singular cone x^3 + y^3 + z^3 = 0")
+        if height < 1:
+            raise ValueError("height must be positive")
+        if height > MAX_SEARCH_HEIGHT:
+            raise BudgetExceeded(
+                f"height {height} exceeds the search cap {MAX_SEARCH_HEIGHT}"
+            )
+        h = height
+        vals = list(range(-h, h + 1))
+        cubes = [v ** 3 for v in vals]
+        # rows[i] holds x^3 + y^3 for x = i - h and every y >= x
+        rows = [[cx + cy for cy in cubes[i:]] for i, cx in enumerate(cubes)]
+        sums = set().union(*rows)
+        is_s = family == FAMILY_S
+        if is_s:
+            # z > 0, and w >= 0 with each hit standing for both signs of w
+            first_z, ws = h + 1, vals[h:]
+            terms = [w * w for w in ws]
         else:
-            out.extend([SurfacePoint(family, m, (a, na, 0, w)) for w in vals if gcd(a, w) == 1])
-    out.extend([SurfacePoint(family, m, c) for c in found[start:]])
-    return out
+            first_z, ws, terms = h, vals, cubes
+        wanted: dict[int, list[tuple[int, int]]] = {}
+        for z, cz in zip(vals[first_z:], cubes[first_z:]):
+            scale = m * z if is_s else m
+            need = [-cz - scale * t for t in terms]
+            hit = sums.intersection(need)
+            if hit:
+                for w, k in zip(ws, need):
+                    if k in hit:
+                        pairs = wanted.setdefault(k, [])
+                        pairs.append((z, w))
+                        if is_s and w:
+                            pairs.append((z, -w))
+        root = dict(zip(cubes, vals))
+        seen = set()
+        for x, cx, row in zip(vals, cubes, rows):
+            for k in wanted.keys() & row:
+                y = root[k - cx]
+                for z, w in wanted[k]:
+                    for c in ((x, y, z, w), (y, x, z, w)):
+                        if not any(c):
+                            continue
+                        g = gcd(gcd(c[0], c[1]), gcd(c[2], c[3]))
+                        if g != 1:
+                            continue
+                        if next(v for v in c if v) < 0:
+                            c = tuple(-v for v in c)
+                        seen.add(c)
+        del rows, sums
+        found = sorted(seen)
+        if not is_s:
+            return _surface_points(family, m, found)
+        # The line points with prefix (a, -a, 0) form one contiguous run of
+        # the sorted output; splice each run in where it sorts.  One w list
+        # and one -a per run let the line's points share their ints.
+        coords = []
+        start = 0
+        for a in range(h + 1):
+            na = -a
+            cut = bisect_left(found, (a, na, 0), start)
+            coords += found[start:cut]
+            start = cut
+            if a == 0:
+                coords.append((0, 0, 0, 1))
+            else:
+                coords += [(a, na, 0, w) for w in vals if gcd(a, w) == 1]
+        coords += found[start:]
+        return _surface_points(family, m, coords)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -670,7 +706,17 @@ class RankBoundReport:
 
 
 def rank_bound_m(family: str, primes: Sequence[int]) -> int:
-    """The M the rank bound works on: prod(p) for S_M, 3*prod(p) for Sprime_M."""
+    """The M the rank bound works on: prod(p) for S_M, 3*prod(p) for Sprime_M.
+
+    The primes must be distinct: a repeated p adds the same factor
+    Pic0(C_p)/n twice, so the target 2s could never be reached, and
+    HypothesisFailed names the repeat.
+    """
+    for i, p in enumerate(primes):
+        if p in primes[:i]:
+            raise HypothesisFailed(
+                f"the primes of the rank bound must be distinct; {p} is repeated"
+            )
     m = prod(primes)
     return m if family_tag(family) == FAMILY_S else 3 * m
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from cubicspan import cli
 from cubicspan.cli import build_parser, main
 from cubicspan.field import make_extension
 from cubicspan.harness import ExperimentConfig, random_smooth_surface
@@ -312,6 +313,16 @@ def test_rank_bound_wcubed_family(capsys):
     assert doc["M"] == 93
     assert doc["mod"] == 3
     assert doc["achieved_dim"] == 2
+
+
+def test_rank_bound_refuses_a_repeated_prime_before_it_searches(capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched despite the repeated prime")
+
+    monkeypatch.setattr(cli, "point_search", no_search)
+    code = main(["rank-bound", "--family", "S_M", "--primes", "31,31"])
+    assert code == 2
+    assert "31 is repeated" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alias", FAMILY_ALIASES)

@@ -1,5 +1,7 @@
 """Tests for surface-point reduction, line relations, and the rank pipeline."""
 
+import dataclasses
+import gc
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -25,6 +27,7 @@ from cubicspan.field import is_prime
 from cubicspan.reduction import (
     FAMILY_S,
     FAMILY_SPRIME,
+    SurfacePoint,
     _binary_cubic_roots,
     _family_form,
     base_surface_point,
@@ -613,6 +616,14 @@ def test_rank_bound_checks_m_against_its_convention(pts31, pts93):
         rank_lower_bound(FAMILY_SPRIME, [31], pts31, m=93)
 
 
+def test_rank_bound_refuses_a_repeated_prime():
+    with pytest.raises(HypothesisFailed, match="31 is repeated"):
+        rank_bound_m(FAMILY_S, [31, 31])
+    # refused before any point is read: a point would be asked for .family
+    with pytest.raises(HypothesisFailed, match="31 is repeated"):
+        rank_lower_bound(FAMILY_SPRIME, [31, 43, 31], [None])
+
+
 # -- residue deduplication against the per-point oracles ----------------
 
 
@@ -648,6 +659,60 @@ def test_contained_line_points_share_their_ints():
     assert len(line) > 9 * len(pts) // 10
     assert len({id(pt.coords[3]) for pt in line}) <= 601
     assert not hasattr(line[0], "__dict__")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_point_search_restores_the_collector_state(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        point_search(FAMILY_S, 31, 5)
+        assert gc.isenabled() is enabled
+        with pytest.raises(BudgetExceeded):
+            point_search(FAMILY_S, 31, 1001)
+        assert gc.isenabled() is enabled
+        with pytest.raises(HypothesisFailed):
+            point_search(FAMILY_S, 0, 3)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_point_search_starts_no_collection():
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        pts = point_search(FAMILY_S, 31, 200)
+    finally:
+        gc.callbacks.remove(record)
+        if not was:
+            gc.disable()
+    assert len(pts) == 49610
+    assert starts == []
+
+
+@pytest.mark.parametrize("family,m", [(FAMILY_S, 31), (FAMILY_SPRIME, 93)])
+def test_bulk_built_points_are_ordinary_points(family, m):
+    pts = point_search(family, m, 60)
+    assert pts
+    for pt in pts:
+        ref = SurfacePoint(pt.family, pt.m, pt.coords)
+        assert type(pt) is SurfacePoint
+        assert (pt.family, pt.m) == (family, m)
+        assert pt == ref
+        assert hash(pt) == hash(ref)
+        assert repr(pt) == repr(ref)
+    for field in dataclasses.fields(SurfacePoint):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pts[0], field.name, getattr(pts[1], field.name))
+    assert not hasattr(pts[0], "__dict__")
 
 
 def test_dedup_matches_per_point_at_height_200():
