@@ -15,11 +15,10 @@ always agree on the representation (GF(64) is F_2[x]/(x^6 + x + 1)).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .errors import BudgetExceeded, DegreeTooLarge, HypothesisFailed, IdenticallyZero, NotPrime
+from .errors import BudgetExceeded, DegreeTooLarge, NotPrime
 
 MAX_CHARACTERISTIC = 2**61
 MAX_DEGREE = 24
@@ -29,9 +28,6 @@ _TABLE_LIMIT = 1 << 16
 
 # Flat q x q addition and multiplication tables exist up to this field size.
 _FLAT_TABLE_LIMIT = 256
-
-# Root scans brute force the whole field; refuse beyond this size.
-_ROOT_SCAN_LIMIT = 1 << 16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -186,8 +182,6 @@ class ExtField:
         self.modulus = modulus  # length k+1, monic, least degree first
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._nonresidue: int | None = None
-        self._as_matrix: list[int] | None = None  # Artin-Schreier rows as bitmasks
         self._flat: tuple[list[int], list[int], list[int]] | None = None
         self._roots: tuple[array, array, array] | None = None
         # reduction of x^k .. x^(2k-2) mod the modulus, as coefficient tuples
@@ -305,6 +299,10 @@ class ExtField:
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow_(self.inv(a), -e)
+        if self.k == 1:
+            return pow(a, e, self.p)
+        if a and self._exp is not None:
+            return self._exp[self._log[a] * e % (self.q - 1)]
         result = self.one
         while e:
             if e & 1:
@@ -392,86 +390,6 @@ class ExtField:
                         table[b * q + neg[add[lead * q + mul[b * q + y]]]] = y
         return self._roots
 
-    # -- roots -------------------------------------------------------------
-
-    def sqrt(self, a: int) -> int | None:
-        """A square root of a, or None when a is a nonresidue (odd q)."""
-        if self.p == 2:
-            return self.pow_(a, self.q // 2) if self.k > 1 else a
-        if a == 0:
-            return 0
-        q = self.q
-        if self.pow_(a, (q - 1) // 2) != 1:
-            return None
-        # Tonelli-Shanks
-        m, e = q - 1, 0
-        while m % 2 == 0:
-            m //= 2
-            e += 1
-        if e == 1:
-            r = self.pow_(a, (q + 1) // 4)
-            return min(r, self.neg(r))
-        if self._nonresidue is None:
-            z = 2
-            while self.pow_(z, (q - 1) // 2) == 1:
-                z += 1
-            self._nonresidue = z
-        c = self.pow_(self._nonresidue, m)
-        r = self.pow_(a, (m + 1) // 2)
-        t = self.pow_(a, m)
-        while t != 1:
-            t2, i = t, 0
-            while t2 != 1:
-                t2 = self.mul(t2, t2)
-                i += 1
-            b = self.pow_(c, 1 << (e - i - 1))
-            r = self.mul(r, b)
-            c = self.mul(b, b)
-            t = self.mul(t, c)
-            e = i
-        return min(r, self.neg(r))
-
-    def artin_schreier_solve(self, d: int) -> int | None:
-        """u with u^2 + u = d over GF(2^k), or None when the trace is 1."""
-        if self.p != 2:
-            raise HypothesisFailed(f"u^2 + u = d is solved over GF(2^k), not GF({self.q})")
-        if self._as_matrix is None:
-            k = self.k
-            rows = [0] * k  # rows of the map u -> u^2 + u in the power basis
-            for j in range(k):
-                e = 1 << j if k > 1 else j  # code of basis element x^j
-                code = self.encode(tuple(1 if i == j else 0 for i in range(k)))
-                img = self.add(self.mul(code, code), code)
-                for i in range(k):
-                    if (img >> i) & 1:
-                        rows[i] |= 1 << j
-            self._as_matrix = rows
-        rows = list(self._as_matrix)
-        rhs = [(d >> i) & 1 for i in range(self.k)]
-        # Gaussian elimination over F_2, columns are unknown bits of u
-        u = 0
-        pivots = []
-        for col in range(self.k):
-            piv = None
-            for r in range(len(rows)):
-                if (rows[r] >> col) & 1 and all(r != pr for pr, _ in pivots):
-                    piv = r
-                    break
-            if piv is None:
-                continue
-            pivots.append((piv, col))
-            for r in range(len(rows)):
-                if r != piv and (rows[r] >> col) & 1:
-                    rows[r] ^= rows[piv]
-                    rhs[r] ^= rhs[piv]
-        for r in range(len(rows)):
-            if rows[r] == 0 and rhs[r]:
-                return None
-        for piv, col in pivots:
-            if rhs[piv]:
-                u |= 1 << col
-        return u
-
 
 @lru_cache(maxsize=None)
 def make_extension(p: int, k: int) -> ExtField:
@@ -541,135 +459,3 @@ def embedding(base: ExtField, ext: ExtField) -> Callable[[int], int]:
         return out
 
     return embed
-
-
-# ---------------------------------------------------------------------------
-# small root finders
-
-
-def solve_quadratic(field: ExtField, a: int, b: int, c: int) -> list[tuple[int, int]]:
-    """Roots of a t^2 + b t + c in the field, as (root, multiplicity) pairs.
-
-    Handles characteristic 2 through the Artin-Schreier reduction; the
-    returned list is sorted by root code and may be empty.
-    """
-    a, b, c = _code(field, a), _code(field, b), _code(field, c)
-    if a == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    if field.p == 2:
-        if b == 0:
-            r = field.sqrt(field.div(c, a))
-            return [(r, 2)]
-        d = field.div(field.mul(a, c), field.mul(b, b))
-        u = field.artin_schreier_solve(d)
-        if u is None:
-            return []
-        scale = field.div(b, a)
-        r1 = field.mul(scale, u)
-        r2 = field.mul(scale, field.add(u, 1))
-        return sorted([(r1, 1), (r2, 1)])
-    disc = field.sub(field.mul(b, b), field.mul(field.mul(4 % field.p, a), c))
-    two_a_inv = field.inv(field.mul(2 % field.p, a))
-    if disc == 0:
-        return [(field.mul(field.neg(b), two_a_inv), 2)]
-    s = field.sqrt(disc)
-    if s is None:
-        return []
-    r1 = field.mul(field.sub(s, b), two_a_inv)
-    r2 = field.mul(field.sub(field.neg(s), b), two_a_inv)
-    return sorted([(r1, 1), (r2, 1)])
-
-
-@dataclass(frozen=True)
-class CubicRoots:
-    """Roots of a binary cubic over the coefficient field.
-
-    rational: ((s, t), multiplicity) pairs with s in {0, 1}; (0, 1) is the
-    root at infinity.  extension_roots counts the remaining roots of the
-    form: 0, or the degree (2 or 3) of the irreducible factor left over,
-    whose roots live in the extension of that degree.
-    """
-
-    rational: tuple[tuple[tuple[int, int], int], ...]
-    extension_roots: int
-
-
-def roots_of_cubic(field: ExtField, coeffs: Sequence[int]) -> CubicRoots:
-    """Factor the binary cubic a0 s^3 + a1 s^2 t + a2 s t^2 + a3 t^3.
-
-    Raises IdenticallyZero when every coefficient vanishes (the signal that a
-    line lies inside a surface).  Rational roots are found exactly; the
-    leftover factor is irreducible of degree 2 or 3 and only counted.
-    """
-    a0, a1, a2, a3 = (_code(field, c) for c in coeffs)
-    if a0 == a1 == a2 == a3 == 0:
-        raise IdenticallyZero("all four coefficients vanish")
-    if field.q > _ROOT_SCAN_LIMIT:
-        raise BudgetExceeded(f"cubic root scan over GF({field.q})")
-    # univariate in t at s = 1
-    poly = [a0, a1, a2, a3]
-    while poly and poly[-1] == 0:
-        poly.pop()
-    roots: list[tuple[tuple[int, int], int]] = []
-    inf_mult = 3 - (len(poly) - 1) if poly else 3
-    if inf_mult:
-        roots.append(((0, 1), inf_mult))
-    work = list(poly)
-    for t in field.elements():
-        if len(work) <= 1:
-            break
-        mult = 0
-        while len(work) > 1 and _eval_poly(field, work, t) == 0:
-            work = _deflate(field, work, t)
-            mult += 1
-        if mult:
-            roots.append(((1, t), mult))
-    return CubicRoots(tuple(sorted(roots)), len(work) - 1 if work else 0)
-
-
-def _eval_poly(field: ExtField, poly: Sequence[int], t: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = field.add(field.mul(acc, t), c)
-    return acc
-
-
-def _deflate(field: ExtField, poly: Sequence[int], r: int) -> list[int]:
-    # divide by (t - r), exact when r is a root
-    out = [0] * (len(poly) - 1)
-    carry = 0
-    for i in range(len(poly) - 1, 0, -1):
-        carry = field.add(poly[i], field.mul(carry, r))
-        out[i - 1] = carry
-    return out
-
-
-def univariate_gcd(field: ExtField, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Monic gcd of two univariate polynomials with field-code coefficients."""
-    a = [_code(field, c) for c in a]
-    b = [_code(field, c) for c in b]
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    while b:
-        # a mod b
-        inv_lead = field.inv(b[-1])
-        while len(a) >= len(b) and a:
-            c = field.mul(a[-1], inv_lead)
-            shift = len(a) - len(b)
-            if c:
-                for i in range(len(b) - 1):
-                    a[shift + i] = field.sub(a[shift + i], field.mul(c, b[i]))
-            a.pop()
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    if a:
-        inv_lead = field.inv(a[-1])
-        a = [field.mul(c, inv_lead) for c in a]
-    return a
-
-
-def _code(field: ExtField, x) -> int:
-    return x % field.p if field.k == 1 else int(x)

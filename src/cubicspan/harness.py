@@ -29,7 +29,7 @@ import json
 import logging
 import random
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, Union
 

@@ -16,21 +16,11 @@ closure runs are then pure index pushing.
 The preprocessing runs on the field's flat add/mul/neg tables
 (ExtField.flat_tables) and refuses a field above their limit, so the
 point scan and the restrictions under it take surface.py's flat path
-too.  Building a table takes the gradients, certifies smoothness and
-scans the lines; the rest is computed where it is read, since a span
-check reads few pairs and few pencils.  A pair entry starts at UNSOLVED
-(-2) and a closure solves it when it reads it.  A secant that meets the
-surface in three distinct points is solved once, from whichever of its
-pairs comes first, and fills all three pair entries, so the table does
-not depend on the order of the solves.  A point's tangent pencil is
-taken at its first closure turn or union-find step, and its cone root
-count z_P (the rational zeros of the tangent cone on the pencil) at its
-first Eckardt, ternary or sum-count read.  The first read of pair_third
-or tangent_thirds fills the rest.  The table is the one object per
-surface: it also holds the rational lines, scanned once, with their
-point indices.  Eckardt and ternary points are read off z_P
-(_eckardt_by_cone, _ternary_by_cone), skew pairs off the lines' point
-sets, and spanning_lines is counted in closed form from q and the lines.
+too.  Building a SpanTable takes the gradients, certifies smoothness and
+scans the lines once; pair entries, tangent pencils and the cone root
+counts z_P are computed where they are read (see SpanTable).  Eckardt
+and ternary points are read off z_P (_eckardt_by_cone,
+_ternary_by_cone), and skew pairs off the lines' point sets.
 
 spn is a closure operator: Q in spn(B) gives spn(Q) in spn(B).  So once
 spn(Q) = S(F_q) is known, every closure that reaches Q spans the surface
@@ -58,7 +48,7 @@ from .errors import (
 from .projgeo import Line3, ProjPoint, skew
 from .surface import (
     CubicForm,
-    _cubic_zeros,
+    _quadratic_zero_count,
     _smooth_gradient,
     _tangent_cone,
     is_smooth,
@@ -104,9 +94,9 @@ class SpanTable:
     pair_third replaces the backing array and marks it filled.
 
     tangent_thirds[i] lists the third points of the non-contained tangent
-    lines at point i, in the order of the pencil from
-    surface.tangent_pencil: the line through e0 + t*e1 for each field code
-    t, then the line through e1 (e0 and e1 read off the gradient at i); an
+    lines at point i, in the order of the pencil of surface._tangent_cone:
+    the line through e0 + t*e1 for each field code t, then the line
+    through e1 (e0 and e1 read off the gradient at i); an
     entry equal to i itself records an asymptotic line.  A pencil is taken
     on demand, at most once per point (thirds_at); the first read of
     tangent_thirds takes every pencil left and returns the list the eager
@@ -223,13 +213,11 @@ class SpanTable:
 
     def cone_roots(self, i: int) -> int:
         """z_P at point i: the number of pencil lines on which the tangent
-        cone vanishes, q + 1 when it vanishes identically.  The affine
-        zeros of d0 + d1*t + d2*t^2 come from surface._cubic_zeros, and the
-        line through e1 is a zero when d2 = 0; a taken pencil sets it."""
+        cone vanishes, q + 1 when it vanishes identically, counted by
+        surface._quadratic_zero_count; a taken pencil sets it."""
         z = self._roots[i]
         if z < 0:
-            d0, d1, d2 = self._cone(i)[2]
-            z = self._roots[i] = len(_cubic_zeros(self.form.field, d0, d1, d2, 0)) + (d2 == 0)
+            z = self._roots[i] = _quadratic_zero_count(self.form.field, *self._cone(i)[2])
         return z
 
     def _pencil(self, i: int) -> tuple[int, ...]:
@@ -473,7 +461,7 @@ def span_closure(
 def _eckardt_by_cone(table: SpanTable, i: int) -> bool:
     """Whether point i is an Eckardt point: its tangent cone vanishes on
     all q + 1 pencil lines, so identically (a nonzero binary quadratic has
-    at most two zeros).  This is surface.is_eckardt's test."""
+    at most two zeros).  This is surface.eckardt_points's test."""
     return table.cone_roots(i) == table.form.field.q + 1
 
 

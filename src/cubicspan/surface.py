@@ -24,8 +24,12 @@ rule (the method path).  _flat selects the path on every call.
 
 The tangent cone at a point u is the polar quadric sum_m u_m dF/dx_m,
 restricted once to a line of the tangent plane read off the gradient
-(tangent_pencil).  It vanishes identically exactly at the Eckardt
-points, so is_eckardt and eckardt_points read the cone and nothing else.
+(_tangent_cone).  It vanishes identically exactly at the Eckardt points,
+so eckardt_points reads the cone and nothing else.  classify_point reads
+the kind off the cone's zero count (_quadratic_zero_count) and the lines
+off the cubic's remainder mod the cone, or at an Eckardt point off the
+cubic's discriminant and Hessian (_binary_cubic_zero_count): it finds no
+root, so _cubic_zeros is the layer's one root finder.
 """
 
 from __future__ import annotations
@@ -44,15 +48,7 @@ from .errors import (
     PointNotOnSurface,
     SingularPoint,
 )
-from .field import (
-    ExtField,
-    embedding,
-    field_from_dict,
-    make_extension,
-    roots_of_cubic,
-    solve_quadratic,
-    univariate_gcd,
-)
+from .field import ExtField, embedding, field_from_dict, make_extension
 from .projgeo import Line3, ProjPoint, rank
 
 
@@ -616,7 +612,21 @@ def _pencil_basis(f: ExtField, coords: Sequence[int], grad: Sequence[int]):
 
 
 def _tangent_cone(form: CubicForm, coords: Sequence[int], grad: Sequence[int]):
-    """(e0, e1, cone) of tangent_pencil, without the cubic."""
+    """The tangent cone at a smooth surface point u as (e0, e1, cone).
+
+    (e0, e1) is _pencil_basis of the tangent plane at u, so the tangent
+    lines are the lines through u and w = s*e0 + t*e1.  cone is the polar
+    quadric sum_m u_m dF/dx_m restricted to w, s-degree first; with cubic
+    the restriction of F to w, F(u) = 0 and grad F(u).w = 0 give
+
+        F(lam*u + mu*w) = mu^2 * (lam * cone(w) + mu * cubic(w)),
+
+    so the tangent line through w is inside the surface when both vanish,
+    meets it to order three at u when only cone does, and otherwise meets
+    it again at cubic(w)*u - cone(w)*w.  The polar quadric's coefficients
+    are cached linear forms evaluated at u, and it is restricted once, on
+    the flat path within the flat-table limit and the method path above.
+    """
     f = form.field
     e0, e1 = _pencil_basis(f, coords, grad)
     form._partials()  # fills _polar_terms
@@ -625,26 +635,48 @@ def _tangent_cone(form: CubicForm, coords: Sequence[int], grad: Sequence[int]):
     return e0, e1, tuple(_restrict_terms_to_line(f, polar, e0, e1)[:3])
 
 
-def tangent_pencil(form: CubicForm, coords: Sequence[int], grad: Sequence[int]):
-    """The tangent lines at a smooth surface point u as one pencil.
+def _quadratic_zero_count(f: ExtField, d0: int, d1: int, d2: int) -> int:
+    """The zeros of d0 s^2 + d1 st + d2 t^2 on P^1(F_q), q + 1 when it
+    vanishes identically.  No root is found.  d2 = 0 puts a zero at (0, 1)
+    and one more when d1 != 0.  Otherwise odd q reads the discriminant
+    d1^2 - 4 d0 d2 by Euler's criterion.  In characteristic 2, t = (d1/d2) y
+    turns the affine part into y^2 + y + d0 d2 / d1^2 (up to a unit), which
+    has two roots when that constant has absolute trace 0 and none when it
+    has trace 1 (Lidl & Niederreiter, Finite Fields, 3.3); d1 = 0 leaves a
+    square, one double root."""
+    if not d2:
+        return 2 if d1 else 1 if d0 else f.q + 1
+    mul = f.mul
+    if f.p != 2:
+        disc = f.sub(mul(d1, d1), mul(4 % f.p, mul(d0, d2)))
+        return 1 if not disc else 2 if f.pow_(disc, (f.q - 1) // 2) == 1 else 0
+    if not d1:
+        return 1
+    x = trace = f.div(mul(d0, d2), mul(d1, d1))
+    for _ in range(f.k - 1):
+        x = mul(x, x)
+        trace = f.add(trace, x)
+    return 2 - 2 * trace
 
-    Returns (e0, e1, cubic, cone).  (e0, e1) is _pencil_basis of the
-    tangent plane at u, so the tangent lines are the lines through u and
-    w = s*e0 + t*e1.  cubic is F restricted to w and cone is the polar
-    quadric sum_m u_m dF/dx_m restricted to w, both as coefficient tuples
-    s-degree first.  Since F(u) = 0 and grad F(u).w = 0,
 
-        F(lam*u + mu*w) = mu^2 * (lam * cone(w) + mu * cubic(w)),
-
-    so the tangent line through w is inside the surface when both vanish,
-    meets it to order three at u when only cone does, and otherwise meets
-    it again at cubic(w)*u - cone(w)*w.  The polar quadric's coefficients
-    are cached linear forms evaluated at u, and it is restricted once.
-    Both restrictions take the flat path within the flat-table limit and
-    the method path above it, so the kernel works at every field size.
-    """
-    e0, e1, cone = _tangent_cone(form, coords, grad)
-    return e0, e1, form.restrict_to_line(e0, e1), cone
+def _binary_cubic_zero_count(f: ExtField, c0: int, c1: int, c2: int, c3: int) -> int:
+    """The distinct zeros of c0 s^3 + c1 s^2 t + c2 s t^2 + c3 t^3 on P^1
+    over the closure, with no root found: three when the discriminant
+    c1^2 c2^2 + 18 c0 c1 c2 c3 - 4 c0 c2^3 - 4 c1^3 c3 - 27 c0^2 c3^2 is
+    nonzero, one (a cube) when the Hessian (c1^2 - 3 c0 c2, c1 c2 - 9 c0 c3,
+    c2^2 - 3 c1 c3) vanishes, else two.  Both are covariants with integer
+    coefficients, so this holds in every characteristic, 2 and 3 included.
+    Raises IdenticallyZero when every coefficient vanishes."""
+    if not (c0 or c1 or c2 or c3):
+        raise IdenticallyZero("all four coefficients vanish")
+    add, mul, p = f.add, f.mul, f.p
+    c0c3, c1c2 = mul(c0, c3), mul(c1, c2)
+    cubes = add(mul(c0, mul(c2, mul(c2, c2))), mul(c3, mul(c1, mul(c1, c1))))
+    plus = add(mul(c1c2, c1c2), mul(18 % p, mul(c0c3, c1c2)))
+    if plus != add(mul(4 % p, cubes), mul(27 % p, mul(c0c3, c0c3))):
+        return 3
+    squares = (mul(c1, c1), c1c2, mul(c2, c2))
+    return 1 if squares == (mul(3 % p, mul(c0, c2)), mul(9 % p, c0c3), mul(3 % p, mul(c1, c3))) else 2
 
 
 def _smooth_gradient(form: CubicForm, coords: Sequence[int]) -> tuple:
@@ -664,13 +696,6 @@ def _cone_vanishes(form: CubicForm, coords: Sequence[int]) -> bool:
     return not any(_tangent_cone(form, coords, _smooth_gradient(form, coords))[2])
 
 
-def is_eckardt(form: CubicForm, point: ProjPoint) -> bool:
-    """Whether a smooth surface point is an Eckardt point: its tangent cone
-    vanishes identically.  This is the test classify_point makes first;
-    it skips the cubic, its roots and the gcd that the other kinds need."""
-    return _cone_vanishes(form, _on_surface(form, point))
-
-
 class PointKind(Enum):
     ECKARDT = "eckardt"
     PARABOLIC = "parabolic"  # parabolic and not Eckardt
@@ -685,56 +710,56 @@ class PointClass:
     line_count: int  # lines of the surface through the point, over the closure
 
 
-def _binary_quadratic_roots(field: ExtField, a: int, b: int, c: int):
-    """Projective roots of a s^2 + b st + c t^2 with multiplicity.
-
-    Returns (rational ((s, t), mult) list, number of extension roots).
-    """
-    if a == 0 and b == 0 and c == 0:
-        raise IdenticallyZero("zero binary quadratic")
-    if c == 0:
-        roots = [((0, 1), 2 - (1 if b else 0))]
-        if b:
-            roots.append(((1, field.div(field.neg(a), b)), 1))
-        return sorted(roots), 0
-    sol = solve_quadratic(field, c, b, a)
-    return [((1, t), mult) for t, mult in sol], 2 - sum(m for _, m in sol)
-
-
 def classify_point(form: CubicForm, point: ProjPoint) -> PointClass:
     """Eckardt / parabolic / hyperbolic / elliptic type of a smooth point.
 
-    Read off the tangent pencil (see tangent_pencil).  The tangent-plane
-    section is singular at the point with tangent cone `cone`, whose zeros
-    are the asymptotic directions.  cone = 0 makes every tangent line
-    asymptotic: a triple point, the Eckardt case, where the section is
-    three concurrent lines, one per distinct root of `cubic` over the
-    closure.  Otherwise the zeros of cone on P^1(F_q) decide the kind: none
-    (a conjugate pair) is elliptic, one double zero parabolic, two zeros
-    hyperbolic.  A line through the point lies on the surface exactly when
-    cone and cubic both vanish in its direction; for a conjugate pair that
-    means cone divides cubic, tested by their gcd over F_q.
+    Read off the tangent cone (see _tangent_cone), with no root found and
+    no field code scanned, so it answers at any q.  The
+    tangent-plane section is singular at the point, and the zeros of the
+    cone are its asymptotic directions.  A cone that vanishes identically
+    is a triple point, the Eckardt case, and the section is the lines
+    through the point in the directions where the cubic vanishes:
+    _binary_cubic_zero_count gives them, three on a smooth surface and
+    fewer where the surface is singular on the tangent plane (a tangent
+    plane inside the surface raises IdenticallyZero).  Otherwise
+    _quadratic_zero_count gives the kind: no rational zero (a conjugate
+    pair) is elliptic, one double zero parabolic, two zeros hyperbolic.  A
+    line through the point lies on the surface exactly when the cone and
+    the cubic both vanish in its direction.  With d2 != 0, d2^2 times the
+    cubic is reduced mod the cone to r1 t + r0: a zero remainder makes
+    every distinct zero of the cone over the closure a line, and otherwise
+    the only candidate is t = -r0/r1.  With d2 = 0 the zeros are the line
+    through e1 and (s, t) = (d1, -d0).  Neither reading divides.
     """
     f = form.field
     coords = _on_surface(form, point)
-    _e0, _e1, cubic, cone = tangent_pencil(form, coords, _smooth_gradient(form, coords))
-    if not any(cone):
-        cr = roots_of_cubic(f, cubic)
-        return PointClass(PointKind.ECKARDT, True, len(cr.rational) + cr.extension_roots)
-    roots, ext_count = _binary_quadratic_roots(f, *cone)
-    if ext_count:
-        lines = 2 if len(univariate_gcd(f, cone, cubic)) == 3 else 0
-        return PointClass(PointKind.ELLIPTIC, False, lines)
-    add, mul = f.add, f.mul
-    c0, c1, c2, c3 = cubic
-    lines = 0
-    for (s, t), _mult in roots:
-        # cubic at (s, t), where s is 0 or 1
-        value = add(mul(add(mul(add(mul(c3, t), c2), t), c1), t), c0) if s else c3
-        if value == 0:
-            lines += 1
-    kind = PointKind.PARABOLIC if len(roots) == 1 else PointKind.HYPERBOLIC
-    return PointClass(kind, True, lines)
+    e0, e1, (d0, d1, d2) = _tangent_cone(form, coords, _smooth_gradient(form, coords))
+    z = _quadratic_zero_count(f, d0, d1, d2)
+    c0, c1, c2, c3 = form.restrict_to_line(e0, e1)
+    if z > 2:
+        return PointClass(PointKind.ECKARDT, True, _binary_cubic_zero_count(f, c0, c1, c2, c3))
+    kind = (PointKind.ELLIPTIC, PointKind.PARABOLIC, PointKind.HYPERBOLIC)[z]
+    add, mul, sub = f.add, f.mul, f.sub
+    if d2:
+        # d2^2 * cubic = quotient * cone + r1 t + r0, with no division
+        h = sub(mul(d2, c2), mul(c3, d1))
+        r1 = sub(mul(d2, sub(mul(d2, c1), mul(c3, d0))), mul(h, d1))
+        r0 = sub(mul(d2, mul(d2, c0)), mul(h, d0))
+        if not (r0 or r1):
+            lines = 2 - (z == 1)
+        else:
+            # r1^2 * cone(-r0/r1), which vanishes only when r1 != 0
+            cone = add(sub(mul(d2, mul(r0, r0)), mul(d1, mul(r0, r1))), mul(d0, mul(r1, r1)))
+            lines = int(cone == 0)
+    else:
+        lines = int(c3 == 0)
+        if d1:
+            s, t = d1, f.neg(d0)
+            cubic = add(
+                mul(add(mul(c0, s), mul(c1, t)), mul(s, s)), mul(add(mul(c2, s), mul(c3, t)), mul(t, t))
+            )
+            lines += cubic == 0
+    return PointClass(kind, z > 0, lines)
 
 
 def eckardt_points(form: CubicForm) -> list[ProjPoint]:

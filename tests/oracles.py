@@ -17,7 +17,12 @@ smoothness from one matrix rank and looks for no point.
 The tangent-section oracle gamma_curve pulls the surface back to the
 tangent plane and re-expands it around the point, lifting conjugate
 asymptotic directions to GF(q^2); classify_point, which reads the same
-answer off the tangent pencil, is compared against it.
+answer off the tangent cone, is compared against it.  It scans roots, so
+over large fields the reference is pencil_root_class, which finds the
+roots of the tangent pencil with the small root finders the package no
+longer carries: square roots (Tonelli-Shanks), Artin-Schreier solutions,
+quadratic roots, binary-cubic roots by deflation at every code, and the
+univariate gcd.
 
 The closure oracle reference_closure is SpanTable.closure without its
 stops at the point where a fixpoint run has reached every point or a
@@ -56,6 +61,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -66,6 +72,7 @@ from cubicspan.errors import (
     ConstantsUnavailable,
     EqualPoints,
     HypothesisFailed,
+    IdenticallyZero,
     LineNotOnSurface,
     NotFullyRational,
     NotPrime,
@@ -73,16 +80,11 @@ from cubicspan.errors import (
     SingularPoint,
 )
 from cubicspan.field import (
-    CubicRoots,
     ExtField,
-    _deflate,
     embedding,
     factorize,
     is_prime,
     make_extension,
-    roots_of_cubic,
-    solve_quadratic,
-    univariate_gcd,
 )
 from cubicspan.hsgroup import (
     GroupStructure,
@@ -138,15 +140,15 @@ from cubicspan.surface import (
     CubicForm,
     PointClass,
     PointKind,
-    _binary_quadratic_roots,
+    _cone_vanishes,
     _mono_indices,
+    _on_surface,
     _restrict_terms_to_line,
     _smooth_gradient,
     _substitute_linear,
+    _tangent_cone,
     classify_point,
-    is_eckardt,
     lines_on_surface,
-    tangent_pencil,
     zero_points,
 )
 
@@ -502,6 +504,293 @@ def lines_in_plane_through(plane: Plane3, point: ProjPoint) -> list[Line3]:
         line_through(point, ProjPoint(plane.field, second))
         for second in pencil_second_points(plane, point.coords)
     ]
+
+
+# -- root finders only the tests use -----------------------------------
+
+
+@lru_cache(maxsize=None)
+def _nonresidue(field: ExtField) -> int:
+    """The smallest quadratic nonresidue code of an odd field."""
+    z = 2
+    while field.pow_(z, (field.q - 1) // 2) == 1:
+        z += 1
+    return z
+
+
+def sqrt(field: ExtField, a: int) -> Optional[int]:
+    """A square root of a, or None when a is a nonresidue (odd q).
+
+    The smaller code of the two roots, by Tonelli-Shanks; in characteristic
+    2 the unique root a^(q/2)."""
+    if field.p == 2:
+        return field.pow_(a, field.q // 2) if field.k > 1 else a
+    if a == 0:
+        return 0
+    q = field.q
+    if field.pow_(a, (q - 1) // 2) != 1:
+        return None
+    m, e = q - 1, 0
+    while m % 2 == 0:
+        m //= 2
+        e += 1
+    if e == 1:
+        r = field.pow_(a, (q + 1) // 4)
+        return min(r, field.neg(r))
+    c = field.pow_(_nonresidue(field), m)
+    r = field.pow_(a, (m + 1) // 2)
+    t = field.pow_(a, m)
+    while t != 1:
+        t2, i = t, 0
+        while t2 != 1:
+            t2 = field.mul(t2, t2)
+            i += 1
+        b = field.pow_(c, 1 << (e - i - 1))
+        r = field.mul(r, b)
+        c = field.mul(b, b)
+        t = field.mul(t, c)
+        e = i
+    return min(r, field.neg(r))
+
+
+@lru_cache(maxsize=None)
+def _artin_schreier_rows(field: ExtField) -> tuple[int, ...]:
+    """The rows of the F_2-linear map u -> u^2 + u on the power basis of
+    GF(2^k), as bitmasks."""
+    k = field.k
+    rows = [0] * k
+    for j in range(k):
+        code = field.encode(tuple(1 if i == j else 0 for i in range(k)))
+        img = field.add(field.mul(code, code), code)
+        for i in range(k):
+            if (img >> i) & 1:
+                rows[i] |= 1 << j
+    return tuple(rows)
+
+
+def artin_schreier_solve(field: ExtField, d: int) -> Optional[int]:
+    """u with u^2 + u = d over GF(2^k), or None when the trace is 1."""
+    if field.p != 2:
+        raise HypothesisFailed(f"u^2 + u = d is solved over GF(2^k), not GF({field.q})")
+    rows = list(_artin_schreier_rows(field))
+    rhs = [(d >> i) & 1 for i in range(field.k)]
+    # Gaussian elimination over F_2, columns are unknown bits of u
+    u = 0
+    pivots = []
+    for col in range(field.k):
+        piv = None
+        for r in range(len(rows)):
+            if (rows[r] >> col) & 1 and all(r != pr for pr, _ in pivots):
+                piv = r
+                break
+        if piv is None:
+            continue
+        pivots.append((piv, col))
+        for r in range(len(rows)):
+            if r != piv and (rows[r] >> col) & 1:
+                rows[r] ^= rows[piv]
+                rhs[r] ^= rhs[piv]
+    for r in range(len(rows)):
+        if rows[r] == 0 and rhs[r]:
+            return None
+    for piv, col in pivots:
+        if rhs[piv]:
+            u |= 1 << col
+    return u
+
+
+def solve_quadratic(field: ExtField, a: int, b: int, c: int) -> list[tuple[int, int]]:
+    """Roots of a t^2 + b t + c in the field, as (root, multiplicity) pairs.
+
+    Handles characteristic 2 through the Artin-Schreier reduction; the
+    returned list is sorted by root code and may be empty.
+    """
+    a, b, c = _code(field, a), _code(field, b), _code(field, c)
+    if a == 0:
+        raise ValueError("leading coefficient must be nonzero")
+    if field.p == 2:
+        if b == 0:
+            r = sqrt(field, field.div(c, a))
+            return [(r, 2)]
+        d = field.div(field.mul(a, c), field.mul(b, b))
+        u = artin_schreier_solve(field, d)
+        if u is None:
+            return []
+        scale = field.div(b, a)
+        r1 = field.mul(scale, u)
+        r2 = field.mul(scale, field.add(u, 1))
+        return sorted([(r1, 1), (r2, 1)])
+    disc = field.sub(field.mul(b, b), field.mul(field.mul(4 % field.p, a), c))
+    two_a_inv = field.inv(field.mul(2 % field.p, a))
+    if disc == 0:
+        return [(field.mul(field.neg(b), two_a_inv), 2)]
+    s = sqrt(field, disc)
+    if s is None:
+        return []
+    r1 = field.mul(field.sub(s, b), two_a_inv)
+    r2 = field.mul(field.sub(field.neg(s), b), two_a_inv)
+    return sorted([(r1, 1), (r2, 1)])
+
+
+@dataclass(frozen=True)
+class CubicRoots:
+    """Roots of a binary cubic over the coefficient field.
+
+    rational: ((s, t), multiplicity) pairs with s in {0, 1}; (0, 1) is the
+    root at infinity.  extension_roots counts the remaining roots of the
+    form: 0, or the degree (2 or 3) of the irreducible factor left over,
+    whose roots live in the extension of that degree.
+    """
+
+    rational: tuple[tuple[tuple[int, int], int], ...]
+    extension_roots: int
+
+
+def roots_of_cubic(field: ExtField, coeffs: Sequence[int]) -> CubicRoots:
+    """Factor the binary cubic a0 s^3 + a1 s^2 t + a2 s t^2 + a3 t^3.
+
+    Raises IdenticallyZero when every coefficient vanishes (the signal that a
+    line lies inside a surface).  Rational roots are found by deflating at
+    every field code in turn, so the cost grows with q; the leftover factor
+    is irreducible of degree 2 or 3 and only counted.
+    """
+    a0, a1, a2, a3 = (_code(field, c) for c in coeffs)
+    if a0 == a1 == a2 == a3 == 0:
+        raise IdenticallyZero("all four coefficients vanish")
+    # univariate in t at s = 1
+    poly = [a0, a1, a2, a3]
+    while poly and poly[-1] == 0:
+        poly.pop()
+    roots: list[tuple[tuple[int, int], int]] = []
+    inf_mult = 3 - (len(poly) - 1) if poly else 3
+    if inf_mult:
+        roots.append(((0, 1), inf_mult))
+    work = list(poly)
+    for t in field.elements():
+        if len(work) <= 1:
+            break
+        mult = 0
+        while len(work) > 1 and _eval_poly(field, work, t) == 0:
+            work = _deflate(field, work, t)
+            mult += 1
+        if mult:
+            roots.append(((1, t), mult))
+    return CubicRoots(tuple(sorted(roots)), len(work) - 1 if work else 0)
+
+
+def _eval_poly(field: ExtField, poly: Sequence[int], t: int) -> int:
+    acc = 0
+    for c in reversed(poly):
+        acc = field.add(field.mul(acc, t), c)
+    return acc
+
+
+def _deflate(field: ExtField, poly: Sequence[int], r: int) -> list[int]:
+    # divide by (t - r), exact when r is a root
+    out = [0] * (len(poly) - 1)
+    carry = 0
+    for i in range(len(poly) - 1, 0, -1):
+        carry = field.add(poly[i], field.mul(carry, r))
+        out[i - 1] = carry
+    return out
+
+
+def univariate_gcd(field: ExtField, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Monic gcd of two univariate polynomials with field-code coefficients."""
+    a = [_code(field, c) for c in a]
+    b = [_code(field, c) for c in b]
+    while a and a[-1] == 0:
+        a.pop()
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        # a mod b
+        inv_lead = field.inv(b[-1])
+        while len(a) >= len(b) and a:
+            c = field.mul(a[-1], inv_lead)
+            shift = len(a) - len(b)
+            if c:
+                for i in range(len(b) - 1):
+                    a[shift + i] = field.sub(a[shift + i], field.mul(c, b[i]))
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    if a:
+        inv_lead = field.inv(a[-1])
+        a = [field.mul(c, inv_lead) for c in a]
+    return a
+
+
+def _code(field: ExtField, x) -> int:
+    return x % field.p if field.k == 1 else int(x)
+
+
+def _binary_quadratic_roots(field: ExtField, a: int, b: int, c: int):
+    """Projective roots of a s^2 + b st + c t^2 with multiplicity.
+
+    Returns (rational ((s, t), mult) list, number of extension roots).
+    """
+    if a == 0 and b == 0 and c == 0:
+        raise IdenticallyZero("zero binary quadratic")
+    if c == 0:
+        roots = [((0, 1), 2 - (1 if b else 0))]
+        if b:
+            roots.append(((1, field.div(field.neg(a), b)), 1))
+        return sorted(roots), 0
+    sol = solve_quadratic(field, c, b, a)
+    return [((1, t), mult) for t, mult in sol], 2 - sum(m for _, m in sol)
+
+
+# -- the tangent pencil and its root-finding classifier ------------------
+
+
+def tangent_pencil(form: CubicForm, coords: Sequence[int], grad: Sequence[int]):
+    """(e0, e1, cubic, cone) at a smooth surface point: surface._tangent_cone
+    with F restricted to the same line s*e0 + t*e1, s-degree first."""
+    e0, e1, cone = _tangent_cone(form, coords, grad)
+    return e0, e1, form.restrict_to_line(e0, e1), cone
+
+
+def is_eckardt(form: CubicForm, point: ProjPoint) -> bool:
+    """Whether a smooth surface point is an Eckardt point: its tangent cone
+    vanishes identically (the test of surface.eckardt_points)."""
+    return _cone_vanishes(form, _on_surface(form, point))
+
+
+def pencil_root_class(form: CubicForm, point: ProjPoint) -> PointClass:
+    """The point class by finding the roots of the tangent pencil.
+
+    cone = 0 is Eckardt, with one line per distinct root of the cubic over
+    the closure (roots_of_cubic, which scans every field code).  Otherwise
+    the roots of the cone (solve_quadratic: Tonelli-Shanks, or
+    Artin-Schreier in characteristic 2) give the kind, and a line is a cone
+    root where the cubic vanishes; for a conjugate pair that means cone
+    divides cubic, tested by their gcd over F_q.  Away from Eckardt points
+    it scans no field code, so it is the reference of
+    surface.classify_point over large fields, where the tangent-section
+    oracle cannot run.
+    """
+    f = form.field
+    coords = _on_surface(form, point)
+    _e0, _e1, cubic, cone = tangent_pencil(form, coords, _smooth_gradient(form, coords))
+    if not any(cone):
+        cr = roots_of_cubic(f, cubic)
+        return PointClass(PointKind.ECKARDT, True, len(cr.rational) + cr.extension_roots)
+    roots, ext_count = _binary_quadratic_roots(f, *cone)
+    if ext_count:
+        lines = 2 if len(univariate_gcd(f, cone, cubic)) == 3 else 0
+        return PointClass(PointKind.ELLIPTIC, False, lines)
+    add, mul = f.add, f.mul
+    c0, c1, c2, c3 = cubic
+    lines = 0
+    for (s, t), _mult in roots:
+        # cubic at (s, t), where s is 0 or 1
+        value = add(mul(add(mul(add(mul(c3, t), c2), t), c1), t), c0) if s else c3
+        if value == 0:
+            lines += 1
+    kind = PointKind.PARABOLIC if len(roots) == 1 else PointKind.HYPERBOLIC
+    return PointClass(kind, True, lines)
 
 
 # -- surface geometry only the tests use --------------------------------
@@ -860,7 +1149,7 @@ def gauss_on_line(form: CubicForm, line: Line3) -> GaussMapOnLine:
         fiber_t2 = f.sub(f.mul(r[1], q[2]), f.mul(q[1], r[2]))
         if fiber_s2 == 0 and fiber_t2 == 0:
             raise SingularPoint("the tangent-plane map is degenerate along the line")
-        pt = line.point_at(f.sqrt(fiber_t2), f.sqrt(fiber_s2))
+        pt = line.point_at(sqrt(f, fiber_t2), sqrt(f, fiber_s2))
         eck = (pt,) if classify_point(form, pt).kind is PointKind.ECKARDT else ()
         return GaussMapOnLine(line, True, (q, r), (pt,), eck, 1)
     two = 2 % f.p

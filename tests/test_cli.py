@@ -78,6 +78,27 @@ def test_classify_fermat_coordinate_points(capsys):
         assert row["lines_through"] == 3
 
 
+@pytest.mark.parametrize("p", [65537, 1000037, 2**61 - 1])
+def test_classify_answers_an_eckardt_point_over_a_large_prime_field(capsys, p):
+    # no root scan: the Fermat point (1, -1, 0, 0) is Eckardt at every size
+    code, doc = run_json(capsys, ["classify", "--p", str(p), "--point", f"1,{p - 1},0,0"])
+    assert code == 0
+    assert doc["points"] == [
+        {"point": [1, p - 1, 0, 0], "kind": "eckardt", "ternary": True, "lines_through": 3}
+    ]
+
+
+def test_classify_counts_the_one_line_of_an_eckardt_point_on_a_cone(capsys):
+    # S_M with M = 31 reduces mod 31 to the cone x^3 + y^3 + z^3: the tangent
+    # section at (1, -1, 0, 0) is a triple line, the ruling through the point
+    argv = ["classify", "--family", "S_M", "--M", "31", "--p", "31", "--point", "1,30,0,0"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["points"] == [
+        {"point": [1, 30, 0, 0], "kind": "eckardt", "ternary": True, "lines_through": 1}
+    ]
+
+
 #: SHA-256 of the stdout of `classify --json` with one --point per rational
 #: point, recorded while classify_point still built the tangent-plane section
 CLASSIFY_DIGESTS = [

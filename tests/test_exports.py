@@ -1,4 +1,5 @@
-"""The package's public names: what __init__.py imports is what it exports."""
+"""The package's public names: what __init__.py imports is what it exports,
+and every name another module imports is used there."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,27 @@ def test_exports_are_exactly_the_imports():
     imported = _imported_names()
     assert len(imported) == len(set(imported))
     assert set(cubicspan.__all__) == set(imported)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module imports (from-imports and plain imports) that it
+    never reads, by one AST walk; __future__ imports are not names."""
+    tree = ast.parse(path.read_text())
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_every_module_uses_what_it_imports():
+    unused = {
+        path.name: names
+        for path in sorted(INIT.parent.glob("*.py"))
+        if path != INIT and (names := _unused_imports(path))
+    }
+    assert unused == {}

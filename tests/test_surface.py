@@ -26,15 +26,14 @@ from cubicspan.projgeo import (
 from cubicspan.surface import (
     MONOMIALS,
     CubicForm,
+    PointClass,
     PointKind,
     classify_point,
     eckardt_points,
     fermat_cubic,
-    is_eckardt,
     is_smooth,
     lines_on_surface,
     surface_with_27_lines_over_f64,
-    tangent_pencil,
     zero_points,
 )
 
@@ -48,9 +47,13 @@ from oracles import (
     groebner_smooth,
     horner_zeros,
     intersect_line,
+    is_eckardt,
     lines_in_plane_through,
     pencil_basis,
+    pencil_root_class,
+    roots_of_cubic,
     singular_witness,
+    tangent_pencil,
     tangent_plane,
     tangent_section_class,
 )
@@ -651,8 +654,128 @@ def test_classify_point_builds_no_extension_field(monkeypatch):
 
     monkeypatch.setattr(surface, "make_extension", refuse)
     form = fermat_cubic(F5)
-    kinds = Counter(classify_point(form, ProjPoint(F5, c)).kind for c in zero_points(form))
+    points = list(zero_points(form))
+    monkeypatch.setattr(surface, "_cubic_zeros", refuse)
+    kinds = Counter(classify_point(form, ProjPoint(F5, c)).kind for c in points)
     assert kinds[PointKind.ELLIPTIC] == 4
+
+
+#: fields far above any root scan: primes near 2^16, 10^6 and 2^61, and
+#: extension fields in characteristic 2, 3 and 1009
+LARGE_FIELDS = [(65537, 1), (1000037, 1), (2**61 - 1, 1), (2, 20), (3, 11), (1009, 2)]
+
+
+def _planted_forms(f, rng):
+    """(form, point) pairs of random forms through a planted point: eight
+    through a random point (1, a, b, c), three through (1, a, 0, 0) with
+    the line x2 = x3 = 0 inside, and three through (1, 0, 0, 0) with the
+    lines x2 = x3 = 0 and x1 = x3 = 0 inside.  The line spanned by e_i and
+    e_j lies inside when no monomial in x_i and x_j alone is drawn."""
+    for lines, count in (((), 8), (((0, 1),), 3), (((0, 1), (0, 2)), 3)):
+        for _ in range(count):
+            coeffs = {m: rng.randrange(f.q) for m in MONOMIALS if all(m[i] + m[j] < 3 for i, j in lines)}
+            if lines:
+                u = (1, rng.randrange(f.q) if len(lines) == 1 else 0, 0, 0)
+            else:
+                u = (1, rng.randrange(f.q), rng.randrange(f.q), rng.randrange(f.q))
+                coeffs[(3, 0, 0, 0)] = f.sub(coeffs[(3, 0, 0, 0)], CubicForm(f, coeffs).evaluate(u))
+            yield CubicForm(f, coeffs), ProjPoint(f, u)
+
+
+def test_classify_point_matches_the_root_finding_reference_on_large_fields(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("classify_point scanned field codes")
+
+    monkeypatch.setattr(surface, "_cubic_zeros", refuse)
+    rng = random.Random(27)
+    seen = set()
+    for p, k in LARGE_FIELDS:
+        for form, point in _planted_forms(make_extension(p, k), rng):
+            cls = classify_point(form, point)
+            assert cls == pencil_root_class(form, point), (p, k, form.coeffs, point)
+            seen.add((cls.kind, cls.line_count))
+    assert {n for _, n in seen} == {0, 1, 2}
+    assert {kind for kind, _ in seen} >= {PointKind.ELLIPTIC, PointKind.HYPERBOLIC}
+
+
+def _binary_product(f, *factors):
+    """Coefficients, s-degree first, of the product of binary linear forms
+    a s + b t given as (a, b)."""
+    out = [1]
+    for a, b in factors:
+        out = [
+            f.add(f.mul(a, out[i]) if i < len(out) else 0, f.mul(b, out[i - 1]) if i else 0)
+            for i in range(len(out) + 1)
+        ]
+    return out
+
+
+def test_classify_point_counts_eckardt_lines_on_large_fields(monkeypatch):
+    """F = x^2 y + x y M + y Q + B(z, w), with M linear and Q quadratic,
+    has an Eckardt point at (1, 0, 0, 0) with tangent plane y = 0, where
+    the section is B = 0.  Three distinct factors (or a random B), a
+    square times a factor and a cube give 3, 2 and 1 lines; B = 0 puts
+    the tangent plane inside the surface."""
+
+    def refuse(*args):
+        raise AssertionError("classify_point scanned field codes")
+
+    monkeypatch.setattr(surface, "_cubic_zeros", refuse)
+    rng = random.Random(28)
+    for p, k in LARGE_FIELDS:
+        f = make_extension(p, k)
+        point = ProjPoint(f, (1, 0, 0, 0))
+        l1, l2, l3 = [(rng.randrange(1, f.q), rng.randrange(1, f.q)) for _ in range(3)]
+        sections = [
+            (_binary_product(f, l1, l2, l3), 3),
+            ([rng.randrange(1, f.q) for _ in range(4)], 3),
+            (_binary_product(f, l1, l1, l2), 2),
+            (_binary_product(f, l2, l2, l2), 1),
+            ([0, 0, 0, 0], None),
+        ]
+        for section, lines in sections:
+            coeffs = {m: rng.randrange(f.q) for m in MONOMIALS if m[1] and m[0] < 2}
+            coeffs[(2, 1, 0, 0)] = 1
+            coeffs.update({(0, 0, 3 - i, i): c for i, c in enumerate(section)})
+            form = CubicForm(f, coeffs)
+            if lines is None:
+                with pytest.raises(IdenticallyZero):
+                    classify_point(form, point)
+            else:
+                assert classify_point(form, point) == PointClass(PointKind.ECKARDT, True, lines), (p, k)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
+def test_binary_cubic_zero_count_matches_the_root_scan(p, k):
+    f = make_extension(p, k)
+    seen = set()
+    for coeffs in itertools.product(range(f.q), repeat=4):
+        if not any(coeffs):
+            with pytest.raises(IdenticallyZero):
+                surface._binary_cubic_zero_count(f, *coeffs)
+            continue
+        cr = roots_of_cubic(f, coeffs)
+        count = surface._binary_cubic_zero_count(f, *coeffs)
+        assert count == len(cr.rational) + cr.extension_roots, coeffs
+        seen.add(count)
+    assert seen == {1, 2, 3}
+
+
+def test_classify_point_counts_the_lines_of_a_singular_eckardt_section():
+    # x^3 + y^3 + z^3 is a cone; at (1, -1, 0, 0) the tangent section is the
+    # triple line z^3 = 0 in the plane x + y = 0, the ruling through the point
+    point = ProjPoint(F13, (1, 12, 0, 0))
+    assert classify_point(CONE_F13, point) == pencil_root_class(CONE_F13, point)
+    assert classify_point(CONE_F13, point) == PointClass(PointKind.ECKARDT, True, 1)
+
+
+def test_classify_point_refuses_a_tangent_plane_inside_the_surface():
+    # x (y^2 + z w) contains the plane x = 0, the tangent plane at (0, 1, 0, 0)
+    form = CubicForm(F13, {(1, 2, 0, 0): 1, (1, 0, 1, 1): 1})
+    point = ProjPoint(F13, (0, 1, 0, 0))
+    for classify in (classify_point, pencil_root_class):
+        with pytest.raises(IdenticallyZero):
+            classify(form, point)
 
 
 def test_classify_point_rejects_a_point_off_the_surface():
